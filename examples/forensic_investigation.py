@@ -8,7 +8,8 @@ so the offloaded analysis identifies the attacker, bounds the attack
 window, and backtracks the history of any victim page.
 
 The device and the victim environment come from :mod:`repro.api`, the
-stable public facade.
+stable public facade; the rollback is :mod:`repro.forensics`
+point-in-time recovery.
 
 Run with::
 
@@ -17,6 +18,7 @@ Run with::
 
 from repro.api import RSSD, RSSDConfig, provision_environment
 from repro.attacks.timing_attack import TimingAttack
+from repro.forensics import ForensicsEngine
 from repro.sim import format_duration
 from repro.workloads.replay import TraceReplayer
 from repro.workloads.synthetic import ZipfianWorkload
@@ -78,12 +80,18 @@ def main() -> None:
         print(f"  t={entry.timestamp_us:>14}us  {entry.op_type.value:<6} "
               f"stream={entry.stream_id}  entropy={entry.entropy:.2f}")
 
+    # The file is clean once every page of its extent last held clean data.
     analyzer = rssd.analyzer()
-    clean_ts = analyzer.last_clean_timestamp(victim_lba, report.suspected_streams)
-    recovery = rssd.recover_to(clean_ts, lbas=outcome.original_extents[victim_file])
+    extent = outcome.original_extents[victim_file]
+    clean_ts = max(
+        analyzer.last_clean_timestamp(lba, report.suspected_streams) for lba in extent
+    )
+    recovery = ForensicsEngine(rssd).recovery()
+    image = recovery.rebuild_image(clean_ts, lbas=extent)
+    written = recovery.apply(image)
     restored = env.fs.read_file(victim_file) if env.fs.exists(victim_file) else b""
     print(f"\nrolled {victim_file} back to its last clean version: "
-          f"{recovery.pages_restored} pages restored, "
+          f"{written} pages restored, "
           f"content intact: {restored == outcome.original_contents[victim_file]}")
 
 

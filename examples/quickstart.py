@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Quickstart: build an RSSD, write data, lose it, get it back.
 
-Everything imported here comes from :mod:`repro.api`, the stable public
-facade.
+The device comes from :mod:`repro.api`, the stable public facade; the
+rollback goes through :mod:`repro.forensics` point-in-time recovery.
 
 Run with::
 
@@ -10,6 +10,7 @@ Run with::
 """
 
 from repro.api import RSSDConfig, build_rssd
+from repro.forensics import ForensicsEngine
 
 
 def main() -> None:
@@ -47,10 +48,12 @@ def main() -> None:
           "| offloaded remotely:", rssd.retained_pages_remote,
           "| data loss pages:", rssd.data_loss_pages)
 
-    report = rssd.recover_to(clean_point_us)
-    print(f"recovery restored {report.pages_restored} pages "
-          f"({report.pages_restored_remote} fetched over NVMe-oE), "
-          f"unrecoverable: {report.pages_unrecoverable}")
+    recovery = ForensicsEngine(rssd).recovery()
+    image = recovery.rebuild_image(clean_point_us, simulate_fetch=True)
+    written = recovery.apply(image)
+    print(f"recovery restored {written} pages "
+          f"({len(image.recovered_remote)} fetched over NVMe-oE), "
+          f"unrecoverable: {image.pages_lost}")
     print("lba 0:", rssd.read(0)[:38])
     print("lba 1:", rssd.read(1)[:38])
 

@@ -7,20 +7,22 @@ finally recovered from RSSD's retained history -- byte for byte.
 
 The device and the victim environment come from :mod:`repro.api`, the
 stable public facade; the attack-sample profiles are the attack layer's
-own surface.
+own surface, and the rollback is :mod:`repro.forensics` point-in-time
+recovery.
 
 Run with::
 
     python examples/ransomware_recovery.py
 
-Set ``REPRO_SMOKE=1`` to run a single small scenario (the CI examples
-smoke job uses this).
+Set ``REPRO_SMOKE=1`` to run a single small scenario (the examples test
+does).
 """
 
 import os
 
 from repro.api import RSSD, RSSDConfig, provision_environment
 from repro.attacks.samples import ATTACK_PROFILES, make_attack
+from repro.forensics import ForensicsEngine
 
 
 def attack_and_recover(family: str, victim_files: int = 30) -> None:
@@ -54,11 +56,18 @@ def attack_and_recover(family: str, victim_files: int = 30) -> None:
           f"suspected streams={detection.suspected_streams}")
 
     # Recovery: roll back everything the malicious streams touched.
-    report = rssd.recovery_engine().undo_attack(outcome.start_us, outcome.malicious_streams)
-    print(f"recovery: {report.pages_restored} pages restored "
-          f"({report.pages_restored_remote} from the remote tier), "
-          f"{report.pages_unrecoverable} unrecoverable, "
-          f"{report.duration_seconds:.3f}s of simulated device time")
+    engine = ForensicsEngine(rssd)
+    scope = engine.timeline.lbas_modified_since(
+        outcome.start_us, streams=outcome.malicious_streams
+    )
+    recovery = engine.recovery()
+    started_us = rssd.clock.now_us
+    image = recovery.rebuild_image(outcome.start_us, simulate_fetch=True, lbas=scope)
+    written = recovery.apply(image)
+    print(f"recovery: {written} pages restored "
+          f"({len(image.recovered_remote)} from the remote tier), "
+          f"{image.pages_lost} unrecoverable, "
+          f"{(rssd.clock.now_us - started_us) / 1e6:.3f}s of simulated device time")
 
     # Verify every file byte-for-byte (rebuilding deleted namespace entries
     # from the recovered extents).

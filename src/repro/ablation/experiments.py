@@ -8,8 +8,7 @@ build devices and environments ad hoc; here each variant is an ordinary
 :class:`~repro.api.spec.ScenarioSpec` run through a
 :class:`~repro.api.session.Session`, with component toggles expressed
 through the spec's ``ablation`` field wherever the feature registry
-covers them.  The legacy entry points in
-:mod:`repro.analysis.experiments` remain as warn-once shims over these.
+covers them.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Experiment harnesses: one function per table, figure or ablation.
+"""Experiment harnesses: one function per table or figure.
 
 The benchmark suite under ``benchmarks/`` calls these functions and
 prints/validates their results; the unit tests exercise them at reduced
@@ -8,7 +8,7 @@ directly from a Python shell or an example script.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.retention import (
@@ -26,6 +26,7 @@ from repro.attacks.trimming_attack import TrimmingAttack
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
 from repro.defenses.matrix import CapabilityMatrix, MatrixRow, default_defense_factories
+from repro.forensics.engine import ForensicsEngine
 from repro.ssd.device import SSD
 from repro.ssd.geometry import SSDGeometry
 from repro.workloads.fio import FioJob, standard_jobs
@@ -276,8 +277,17 @@ def run_recovery_experiment(
         attack = _attack_by_name(name)
         outcome: AttackOutcome = attack.execute(env)
 
-        engine = rssd.recovery_engine()
-        report = engine.undo_attack(outcome.start_us, outcome.malicious_streams)
+        # Roll back only what the attacker's streams touched, then time
+        # the rebuild (with its remote fetches) and the write-back.
+        engine = ForensicsEngine(rssd)
+        recovery = engine.recovery()
+        scope = engine.timeline.lbas_modified_since(
+            outcome.start_us, streams=outcome.malicious_streams
+        )
+        recovery_start_us = rssd.clock.now_us
+        image = recovery.rebuild_image(outcome.start_us, simulate_fetch=True, lbas=scope)
+        recovery.apply(image)
+        recovery_us = rssd.clock.now_us - recovery_start_us
 
         restored_ok = 0
         lost = 0
@@ -312,7 +322,7 @@ def run_recovery_experiment(
                 victim_pages=len(outcome.victim_lbas),
                 pages_restored=restored_ok,
                 pages_unrecoverable=lost,
-                recovery_seconds=report.duration_seconds,
+                recovery_seconds=recovery_us / 1_000_000.0,
                 files_fully_recovered=files_ok,
                 files_total=len(outcome.original_contents),
             )
@@ -382,86 +392,3 @@ def run_forensics_experiment(
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# A1: offload path ablation (compression + bandwidth demand)
-# ---------------------------------------------------------------------------
-
-from repro.ablation.experiments import (  # noqa: E402 - re-exported row types
-    DetectionRow,
-    OffloadRow,
-    TrimAblationRow,
-)
-
-
-def run_offload_ablation(
-    volumes: Optional[List[str]] = None,
-    geometry: Optional[SSDGeometry] = None,
-    duration_s: float = 0.1,
-    time_compression: float = 30_000.0,
-    seed: int = 17,
-) -> List[OffloadRow]:
-    """Deprecated alias of :func:`repro.ablation.experiments.run_offload_ablation`.
-
-    Kept as a warn-once shim so pre-ablation-framework callers keep
-    working; the implementation now runs each volume through the
-    :mod:`repro.api` session lifecycle.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once(
-        "repro.analysis.experiments.run_offload_ablation",
-        "repro.ablation.experiments.run_offload_ablation",
-    )
-    from repro.ablation.experiments import run_offload_ablation as ported
-
-    return ported(
-        volumes=volumes,
-        geometry=geometry,
-        duration_s=duration_s,
-        time_compression=time_compression,
-        seed=seed,
-    )
-
-
-def run_trim_ablation(
-    geometry: Optional[SSDGeometry] = None,
-    victim_files: int = 16,
-) -> List[TrimAblationRow]:
-    """Deprecated alias of :func:`repro.ablation.experiments.run_trim_ablation`.
-
-    Kept as a warn-once shim so pre-ablation-framework callers keep
-    working; the implementation now expresses the trim variants through
-    the spec's ``ablation`` field.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once(
-        "repro.analysis.experiments.run_trim_ablation",
-        "repro.ablation.experiments.run_trim_ablation",
-    )
-    from repro.ablation.experiments import run_trim_ablation as ported
-
-    return ported(geometry=geometry, victim_files=victim_files)
-
-
-def run_detection_ablation(
-    attack_names: Optional[List[str]] = None,
-    geometry: Optional[SSDGeometry] = None,
-) -> List[DetectionRow]:
-    """Deprecated alias of :func:`repro.ablation.experiments.run_detection_ablation`.
-
-    Kept as a warn-once shim so pre-ablation-framework callers keep
-    working; the implementation now runs each attack through the
-    :mod:`repro.api` session lifecycle.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once(
-        "repro.analysis.experiments.run_detection_ablation",
-        "repro.ablation.experiments.run_detection_ablation",
-    )
-    from repro.ablation.experiments import run_detection_ablation as ported
-
-    return ported(attack_names=attack_names, geometry=geometry)

@@ -1,8 +1,7 @@
 """The stable public facade: one way to describe, run and observe a scenario.
 
-``repro.api`` replaces the ad-hoc per-subsystem entry points (hand-built
-``Defense`` objects, ``build_environment``, direct ``FleetRunner`` /
-``run_roc`` construction) with three concepts:
+``repro.api`` describes and runs scenarios, instead of hand-built
+``Defense`` objects and per-subsystem setup, through three concepts:
 
 * :class:`ScenarioSpec` -- a declarative, validated, JSON-serializable
   description of one device-under-attack scenario (defense, attack,
@@ -30,7 +29,8 @@ The campaign engine, the ROC pipeline, the fleet runner and the CLI all
 consume this surface (``repro run --spec scenario.json`` is the
 universal entry point), and everything listed in ``__all__`` below is
 the documented, semver-promised API: additions may happen in any
-release, removals or behaviour changes only with a deprecation cycle.
+release, removals or behaviour changes only in a release that
+announces them.
 
 Quickstart::
 

@@ -1,11 +1,8 @@
 """Victim-environment provisioning for the scenario facade.
 
-This is the canonical implementation of what used to be
-:func:`repro.attacks.base.build_environment`; the old name still works
-as a deprecation shim that delegates here.  A *victim environment* is a
-populated file system on a device, plus the process registry that tags
-benign and malicious I/O streams -- everything an attack or workload
-needs to run.
+A *victim environment* is a populated file system on a device, plus the
+process registry that tags benign and malicious I/O streams --
+everything an attack or workload needs to run.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from repro.attacks.base import (
     AttackOutcome,
     NoOpAttack,
     RansomwareAttack,
-    build_environment,
 )
 from repro.attacks.classic import ClassicRansomware, DestructionMode
 from repro.attacks.gc_attack import GCAttack
@@ -60,7 +59,6 @@ __all__ = [
     "TimingAttack",
     "TrimInterleavedWipeAttack",
     "TrimmingAttack",
-    "build_environment",
     "make_attack",
     "shape_entropy",
 ]

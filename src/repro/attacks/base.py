@@ -47,36 +47,6 @@ class AttackEnvironment:
         return self.user_process.stream_id
 
 
-def build_environment(
-    device: object,
-    victim_files: int = 24,
-    file_size_bytes: int = 8192,
-    seed: int = 23,
-    rng: Optional[random.Random] = None,
-) -> AttackEnvironment:
-    """Deprecated alias of :func:`repro.api.provision_environment`.
-
-    Kept as a warn-once shim so pre-facade callers keep working; the
-    implementation (identical contract: ``seed`` drives file contents
-    and, absent an explicit ``rng``, the environment's random stream)
-    lives in :mod:`repro.api.environment`.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once(
-        "repro.attacks.base.build_environment", "repro.api.provision_environment"
-    )
-    from repro.api.environment import provision_environment
-
-    return provision_environment(
-        device,
-        victim_files=victim_files,
-        file_size_bytes=file_size_bytes,
-        seed=seed,
-        rng=rng,
-    )
-
-
 @dataclass
 class AttackOutcome:
     """Ground truth about what an attack did, used to judge defenses."""

@@ -312,7 +312,7 @@ class RocArtifact:
         return differences
 
 
-def _run_roc(
+def run_roc(
     grid: CampaignGrid,
     backend: str = "sequential",
     jobs: int = 0,
@@ -324,14 +324,18 @@ def _run_roc(
     resume: bool = False,
     after_cell: Optional[Callable[[int, CellSpec, List[RocCurve]], None]] = None,
 ) -> RocArtifact:
-    """Shared implementation behind :func:`repro.api.run_roc`.
+    """Execute a grid's cells with detection-quality (ROC) capture.
 
     The same contract as :func:`repro.campaign.engine.run_campaign`:
-    ``specs`` overrides the grid expansion, results are assembled
-    order-independently, and any backend yields the same artifact.
-    The ``cache`` / ``journal`` / ``resume`` persistence layer comes
-    for free through :func:`repro.campaign.cache.map_with_cache` --
-    one journal record per cell, carrying that cell's full curve list.
+    every cell runs as a ``ScenarioSpec`` + ``Session`` with the
+    labelled-op capture subscribed to the session bus, ``specs``
+    overrides the grid expansion, results are assembled
+    order-independently, and any backend yields a bit-identical
+    artifact.  The ``cache`` / ``journal`` / ``resume`` persistence
+    layer comes for free through
+    :func:`repro.campaign.cache.map_with_cache` -- one journal record
+    per cell, carrying that cell's full curve list; hit/miss accounting
+    lands on the artifact's ``cache_stats``.
     """
     from repro.campaign.cache import map_with_cache
     from repro.campaign.checkpoint import build_header, verify_header
@@ -387,24 +391,3 @@ def _run_roc(
             1 for spec in specs if spec.cell_key in completed
         )
     return artifact
-
-
-def run_roc(
-    grid: CampaignGrid,
-    backend: str = "sequential",
-    jobs: int = 0,
-    filters: Optional[Sequence[str]] = None,
-    runner: Optional[ExperimentRunner] = None,
-    specs: Optional[List[CellSpec]] = None,
-) -> RocArtifact:
-    """Deprecated alias of :func:`repro.api.run_roc` (same contract).
-
-    Kept as a warn-once shim so pre-facade callers keep working; new
-    code imports ``run_roc`` from :mod:`repro.api`.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once("repro.campaign.roc.run_roc", "repro.api.run_roc")
-    return _run_roc(
-        grid, backend=backend, jobs=jobs, filters=filters, runner=runner, specs=specs
-    )

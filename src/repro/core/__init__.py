@@ -12,7 +12,6 @@ SSD substrate:
   retains trimmed data instead of releasing it.
 * :mod:`repro.core.offload` -- hardware-isolated NVMe-oE offloading of
   retained pages and log segments (compressed + encrypted, time order).
-* :mod:`repro.core.recovery` -- zero-data-loss recovery after attacks.
 * :mod:`repro.core.forensics` -- trusted evidence chain construction
   and per-LBA backtracking for post-attack analysis.
 * :mod:`repro.core.detection` -- local lightweight and remote offloaded
@@ -25,7 +24,6 @@ from repro.core.detection import DetectionReport, LocalDetector, RemoteDetector
 from repro.core.forensics import EvidenceChainReport, PostAttackAnalyzer
 from repro.core.offload import OffloadEngine, OffloadStats
 from repro.core.oplog import LogEntry, LogSegment, OperationLog
-from repro.core.recovery import RecoveryEngine, RecoveryReport
 from repro.core.retention import RetentionManager
 from repro.core.rssd import RSSD, build_rssd
 from repro.core.trim_handler import EnhancedTrimHandler
@@ -43,8 +41,6 @@ __all__ = [
     "PostAttackAnalyzer",
     "RSSD",
     "RSSDConfig",
-    "RecoveryEngine",
-    "RecoveryReport",
     "RemoteDetector",
     "RetentionManager",
     "build_rssd",

@@ -197,8 +197,8 @@ class OffloadEngine:
     def fetch_pages(self, page_count: int, mean_compressed_page_bytes: int = 2048) -> float:
         """Fetch ``page_count`` retained pages back from the remote tier.
 
-        Returns the completion timestamp of the transfer; the recovery
-        engine uses it to compute recovery time.
+        Returns the completion timestamp of the transfer; point-in-time
+        recovery uses it to compute recovery time.
         """
         if page_count < 0:
             raise ValueError("page_count must be non-negative")

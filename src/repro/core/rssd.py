@@ -3,8 +3,10 @@
 :class:`RSSD` wires the SSD substrate together with the paper's
 mechanisms (Figure 1): conservative retention, hardware-assisted
 logging, the enhanced trim handler, the embedded NIC with its
-hardware-isolated NVMe-oE path, the offload engine, and the recovery /
-forensics / detection services built on top.
+hardware-isolated NVMe-oE path, the offload engine, and the evidence
+chain and detection services built on top.  Recovery reads this
+device's log, archive and remote tier from outside:
+``repro.forensics.ForensicsEngine(rssd).recovery()``.
 
 The facade exposes the same block interface as a plain :class:`SSD`
 (``read`` / ``write`` / ``trim`` / ``flush``), so traces, file systems
@@ -21,7 +23,6 @@ from repro.core.detection import DetectionReport, LocalDetector, RemoteDetector
 from repro.core.forensics import EvidenceChainReport, PostAttackAnalyzer
 from repro.core.offload import OffloadEngine
 from repro.core.oplog import OperationLog
-from repro.core.recovery import RecoveryEngine, RecoveryReport
 from repro.core.retention import RetentionManager
 from repro.core.trim_handler import EnhancedTrimHandler, TrimMode
 from repro.crypto.cipher import StreamCipher
@@ -178,12 +179,6 @@ class RSSD:
 
     # -- services -----------------------------------------------------------------------------
 
-    def recovery_engine(self) -> RecoveryEngine:
-        """The zero-data-loss recovery service."""
-        return RecoveryEngine(
-            ssd=self.ssd, retention=self.retention, oplog=self.oplog, offload=self.offload
-        )
-
     def analyzer(self) -> PostAttackAnalyzer:
         """The post-attack analysis service."""
         return PostAttackAnalyzer(oplog=self.oplog, clock=self.clock, offload=self.offload)
@@ -193,10 +188,6 @@ class RSSD:
         return RemoteDetector(oplog=self.oplog, analyzer=self.analyzer())
 
     # -- convenience wrappers used by experiments ------------------------------------------------
-
-    def recover_to(self, timestamp_us: int, lbas: Optional[List[int]] = None) -> RecoveryReport:
-        """Roll affected pages back to their newest pre-``timestamp_us`` versions."""
-        return self.recovery_engine().restore_to(timestamp_us, lbas=lbas)
 
     def investigate(self) -> EvidenceChainReport:
         """Build and verify the trusted evidence chain."""

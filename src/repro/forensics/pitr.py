@@ -17,7 +17,7 @@ archive), and the reference image replays a prefix of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.offload import OffloadEngine
 from repro.core.oplog import OperationLog
@@ -61,8 +61,13 @@ class RecoveredImage:
     unverified: List[int] = field(default_factory=list)
     #: Pages that were mapped at the target time but are not producible.
     lost: List[int] = field(default_factory=list)
-    #: Pages unmapped at the target time (trimmed or never written).
+    #: Pages trimmed by the target time.
     unmapped: List[int] = field(default_factory=list)
+    #: Pages in scope with no write or trim by the target time (written,
+    #: if at all, only after it); kept out of ``pages`` so the image
+    #: compares against a reference replay, but ``apply`` trims the
+    #: live ones.
+    created_after: List[int] = field(default_factory=list)
     #: Microseconds the rebuild took (0 unless fetches were simulated).
     duration_us: float = 0.0
     #: Restorable content for each recovered page, for ``apply``.
@@ -161,7 +166,10 @@ class PointInTimeRecovery:
     # -- rebuild ----------------------------------------------------------
 
     def rebuild_image(
-        self, timestamp_us: int, simulate_fetch: bool = False
+        self,
+        timestamp_us: int,
+        simulate_fetch: bool = False,
+        lbas: Optional[Iterable[int]] = None,
     ) -> RecoveredImage:
         """Materialize the device image as of ``timestamp_us``.
 
@@ -169,13 +177,19 @@ class PointInTimeRecovery:
         :meth:`apply` to write the image back).  With ``simulate_fetch``
         the remote round-trip for offloaded copies is played through the
         NVMe-oE model so ``duration_us`` reflects real recovery time.
+        ``lbas`` limits the rebuild, and so the fetch, to those pages
+        (e.g. :meth:`OperationTimeline.lbas_modified_since` of the
+        attacker's streams); by default every page the evidence
+        mentions is rebuilt.
         """
         start_us = self.ssd.clock.now_us
         image = RecoveredImage(target_us=timestamp_us)
         timeline = self.timeline
-        for lba in timeline.lbas():
+        scope = timeline.lbas() if lbas is None else sorted(set(lbas))
+        for lba in scope:
             event = timeline.history(lba).governing_event(timestamp_us)
             if event is None:
+                image.created_after.append(lba)
                 continue
             if event.op_type is HostOpType.TRIM:
                 image.unmapped.append(lba)
@@ -248,15 +262,24 @@ class PointInTimeRecovery:
     def apply(self, image: RecoveredImage, stream_id: int = 0) -> int:
         """Write a rebuilt image back to the device.  Returns pages written.
 
-        Recovered pages are rewritten with their recovered content;
-        pages unmapped at the target time that are live now are trimmed,
-        completing the rollback.
+        Recovered pages are rewritten with their recovered content,
+        except those whose live copy already is the target version.
+        Pages in the rebuilt scope that had no mapping at the target
+        time but are live now are trimmed, completing the rollback.
+
+        The live copy is compared by content, not by its ``written_us``:
+        that is the time a write was issued, while the log (and so the
+        target) stamps it at completion, so a write issued exactly at
+        the target is still newer than the target version.
         """
         written = 0
         for lba in sorted(image.contents):
+            live = self.ssd.read_content(lba)
+            if live is not None and live.fingerprint == image.pages[lba]:
+                continue
             self.ssd.write(lba, image.contents[lba], stream_id=stream_id)
             written += 1
-        for lba in image.unmapped:
+        for lba in sorted(image.unmapped + image.created_after):
             if self.ssd.ftl.lookup(lba) is not None:
                 self.ssd.trim(lba, 1, stream_id=stream_id)
         return written

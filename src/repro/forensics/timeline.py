@@ -15,7 +15,7 @@ conclusions hold even when the host was fully compromised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.oplog import LogEntry, OperationLog
 from repro.core.retention import RetentionManager
@@ -234,6 +234,23 @@ class OperationTimeline:
                 continue
             selected.append(event)
         return selected
+
+    def lbas_modified_since(
+        self, since_us: int, streams: Optional[Iterable[int]] = None
+    ) -> List[int]:
+        """Pages written or trimmed at or after ``since_us``, ascending.
+
+        ``streams`` keeps only the events those host streams issued --
+        the attacker's, to scope a rollback to what the attack touched.
+        """
+        wanted = None if streams is None else set(streams)
+        return sorted(
+            {
+                event.lba
+                for event in self.events_between(start_us=since_us)
+                if event.destroys_data and (wanted is None or event.stream_id in wanted)
+            }
+        )
 
     def image_at(self, timestamp_us: int) -> Dict[int, Optional[int]]:
         """Expected device image (lba -> fingerprint) as of ``timestamp_us``.

@@ -6,8 +6,7 @@ Four rule families run over a shared per-file analysis context:
   reads, set-ordering hazards in simulation layers.
 * **Layering** (``REPRO-L2xx``) -- import edges must follow the layer
   DAG in ``layers.toml`` (generated from ARCHITECTURE.md); deferred
-  edges only inside functions; deprecated entry points only via their
-  shims.
+  edges only inside functions.
 * **Serialization** (``REPRO-S3xx``) -- schema roots must not change
   serialized fields without a version bump (checked against the pinned
   ``schema_fingerprint.json``); artifact JSON must sort its keys.

@@ -8,8 +8,6 @@ ARCHITECTURE.md's import-layering prose.  These rules walk every
 * ``REPRO-L202`` -- a ``deferred``-only edge taken at module level
   (e.g. ``campaign/`` importing ``repro.api`` outside a function body
   or ``TYPE_CHECKING`` block).
-* ``REPRO-L203`` -- a deprecated entry point imported outside the shim
-  module that defines it.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import List
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.layers import DeprecatedEntry, LayerModel
+from repro.lint.layers import LayerModel
 
 
 def check_file(ctx: FileContext, model: LayerModel) -> List[Finding]:
@@ -36,7 +34,7 @@ def check_file(ctx: FileContext, model: LayerModel) -> List[Finding]:
 def _check_import(
     node: ast.AST, ctx: FileContext, model: LayerModel
 ) -> List[Finding]:
-    """Layer-edge and deprecation checks for one import statement."""
+    """Layer-edge checks for one import statement."""
     findings: List[Finding] = []
     deferred_position = not ctx.at_module_level(node) or ctx.in_type_checking(node)
     for target in ctx.import_targets(node):
@@ -45,8 +43,6 @@ def _check_import(
         findings.extend(
             _check_edge(node, ctx, model, target, deferred_position)
         )
-    if isinstance(node, ast.ImportFrom):
-        findings.extend(_check_deprecated(node, ctx, model))
     return findings
 
 
@@ -88,51 +84,6 @@ def _check_edge(
             "src/repro/lint/layers.toml",
         )
     ]
-
-
-def _check_deprecated(
-    node: ast.ImportFrom, ctx: FileContext, model: LayerModel
-) -> List[Finding]:
-    """REPRO-L203 for deprecated names pulled in by a ``from`` import."""
-    findings: List[Finding] = []
-    targets = ctx.import_targets(node)
-    if not targets:
-        return findings
-    source_module = targets[0]
-    for entry in model.deprecated:
-        if source_module != entry.module:
-            continue
-        if ctx.module is not None and _is_shim_site(ctx.module, entry):
-            continue
-        for alias in node.names:
-            if alias.name == entry.symbol:
-                findings.append(
-                    _finding(
-                        ctx, node, "REPRO-L203",
-                        f"{entry.name} is a deprecated entry point; import "
-                        f"{entry.replacement} instead",
-                    )
-                )
-    return findings
-
-
-def _is_shim_site(module: str, entry: "DeprecatedEntry") -> bool:
-    """Modules allowed to import a deprecated name.
-
-    Three sites are part of the shim surface rather than consumers of
-    it: the defining module itself, its ancestor package ``__init__``
-    modules (which re-export the legacy import path), and the package
-    housing the replacement (the facade wraps the legacy implementation
-    to provide the supported entry point).
-    """
-    if module == entry.module:
-        return True
-    if entry.module.startswith(module + "."):
-        return True
-    replacement_pkg = entry.replacement.rpartition(".")[0]
-    if module == replacement_pkg or module.startswith(replacement_pkg + "."):
-        return True
-    return False
 
 
 def _finding(ctx: FileContext, node: ast.AST, rule: str, message: str) -> Finding:

@@ -56,26 +56,6 @@ class ExceptionEdge:
 
 
 @dataclass(frozen=True)
-class DeprecatedEntry:
-    """One warn-once legacy entry point and its replacement."""
-
-    #: Fully qualified deprecated name (``module.symbol``).
-    name: str
-    #: The stable replacement to import instead.
-    replacement: str
-
-    @property
-    def module(self) -> str:
-        """Module part of the deprecated name."""
-        return self.name.rpartition(".")[0]
-
-    @property
-    def symbol(self) -> str:
-        """Symbol part of the deprecated name."""
-        return self.name.rpartition(".")[2]
-
-
-@dataclass(frozen=True)
 class SchemaSpec:
     """One serialized schema root guarded by the pinned fingerprint."""
 
@@ -91,14 +71,12 @@ class SchemaSpec:
 
 @dataclass(frozen=True)
 class LayerModel:
-    """The loaded layer DAG plus exception, deprecation and schema tables."""
+    """The loaded layer DAG plus exception and schema tables."""
 
     #: Layers by name.
     layers: Dict[str, Layer] = field(default_factory=dict)
     #: Documented extra edges.
     exceptions: Tuple[ExceptionEdge, ...] = ()
-    #: Deprecated entry points.
-    deprecated: Tuple[DeprecatedEntry, ...] = ()
     #: Serialized schema roots.
     schemas: Tuple[SchemaSpec, ...] = ()
 
@@ -124,10 +102,6 @@ class LayerModel:
             )
             for raw in data.get("exceptions", ())
         )
-        deprecated = tuple(
-            DeprecatedEntry(name=raw["name"], replacement=raw["replacement"])
-            for raw in data.get("deprecated", ())
-        )
         schemas = tuple(
             SchemaSpec(
                 name=raw["name"],
@@ -140,7 +114,6 @@ class LayerModel:
         return cls(
             layers=layers,
             exceptions=exceptions,
-            deprecated=deprecated,
             schemas=schemas,
         )
 

@@ -157,10 +157,8 @@ class FleetReport:
 class FleetRunner:
     """Replays traces against a fleet of devices and compares them.
 
-    Direct construction is deprecated: :func:`repro.api.run_fleet` is
-    the supported entry point (it shares this implementation).  The
-    shim keeps working -- it warns once per process and behaves exactly
-    as before.
+    :func:`repro.api.run_fleet` builds one per call; construct a runner
+    directly to drive several scenarios through the same fleet.
     """
 
     def __init__(
@@ -169,45 +167,6 @@ class FleetRunner:
         batched: bool = True,
         max_batch_pages: int = 64,
         honor_timestamps: bool = False,
-        timer: Optional[Callable[[], float]] = None,
-    ) -> None:
-        from repro._deprecation import warn_once
-
-        warn_once("repro.workloads.fleet.FleetRunner", "repro.api.run_fleet")
-        self._init(
-            factories=factories,
-            batched=batched,
-            max_batch_pages=max_batch_pages,
-            honor_timestamps=honor_timestamps,
-            timer=timer,
-        )
-
-    @classmethod
-    def _create(
-        cls,
-        factories: Optional[Dict[str, FleetFactory]] = None,
-        batched: bool = True,
-        max_batch_pages: int = 64,
-        honor_timestamps: bool = False,
-        timer: Optional[Callable[[], float]] = None,
-    ) -> "FleetRunner":
-        """Internal constructor for the facade path (no deprecation warning)."""
-        runner = cls.__new__(cls)
-        runner._init(
-            factories=factories,
-            batched=batched,
-            max_batch_pages=max_batch_pages,
-            honor_timestamps=honor_timestamps,
-            timer=timer,
-        )
-        return runner
-
-    def _init(
-        self,
-        factories: Optional[Dict[str, FleetFactory]],
-        batched: bool,
-        max_batch_pages: int,
-        honor_timestamps: bool,
         timer: Optional[Callable[[], float]] = None,
     ) -> None:
         self.factories = factories if factories is not None else default_fleet_factories()

@@ -430,27 +430,3 @@ class TestCli:
 
         artifact = CampaignArtifact.load(str(out))
         assert artifact.cell_keys == ["LocalSSD/classic/office-edit/tiny"]
-
-
-# ---------------------------------------------------------------------------
-# Legacy entry-point shims
-# ---------------------------------------------------------------------------
-
-
-class TestLegacyShims:
-    def test_legacy_entry_points_warn_once_and_delegate(self):
-        import warnings
-
-        from repro.analysis import experiments as legacy
-        from repro._deprecation import reset_warned
-
-        reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = legacy.run_trim_ablation(victim_files=4)
-        assert [row.mode for row in rows] == ["enhanced", "naive", "disabled"]
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.ablation.experiments" in str(deprecations[0].message)

@@ -11,6 +11,7 @@ from repro.attacks.trimming_attack import TrimmingAttack
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
 from repro.crypto.entropy import EntropyClassifier
+from repro.forensics import ForensicsEngine
 from repro.sim import US_PER_DAY
 from repro.ssd.device import SSD
 from repro.ssd.geometry import SSDGeometry
@@ -169,8 +170,13 @@ class TestTrimmingAttack:
         env = rssd_environment()
         rssd = env.device
         outcome = TrimmingAttack().execute(env)
-        report = rssd.recovery_engine().undo_attack(outcome.start_us, outcome.malicious_streams)
-        assert report.recovered_everything
+        engine = ForensicsEngine(rssd)
+        scope = engine.timeline.lbas_modified_since(
+            outcome.start_us, streams=outcome.malicious_streams
+        )
+        image = engine.recovery().rebuild_image(outcome.start_us, lbas=scope)
+        assert image.pages_lost == 0
+        engine.recovery().apply(image)
         for lba in outcome.victim_lbas:
             live = rssd.read_content(lba)
             assert live is not None

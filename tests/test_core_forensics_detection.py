@@ -8,6 +8,7 @@ from repro.attacks.timing_attack import TimingAttack
 from repro.core.config import RSSDConfig
 from repro.core.detection import LocalDetector, RemoteDetector
 from repro.core.rssd import RSSD
+from repro.forensics import ForensicsEngine
 from repro.ssd.device import HostOp, HostOpType
 from repro.ssd.flash import PageContent
 
@@ -62,9 +63,11 @@ class TestPostAttackAnalyzer:
         suspects = analyzer.suspect_streams()
         clean_ts = analyzer.last_clean_timestamp(lba, suspects)
         assert clean_ts is not None
-        # Recovering to that timestamp restores the original file content.
-        report = rssd.recover_to(clean_ts, lbas=env.fs.file_lbas(victim))
-        assert report.recovered_everything
+        # Every page of the file is producible as of that timestamp.
+        image = ForensicsEngine(rssd).recovery().rebuild_image(
+            clean_ts, lbas=env.fs.file_lbas(victim)
+        )
+        assert image.pages_lost == 0
 
     def test_reconstruction_time_grows_with_log_size(self):
         small = RSSD(config=RSSDConfig.tiny())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD, build_rssd
+from repro.forensics import ForensicsEngine
 from repro.ssd.device import HostOpType
 from repro.ssd.errors import FirmwareProtectionError
 from repro.ssd.flash import PageContent
@@ -93,7 +94,7 @@ class TestRSSDFacade:
 
     def test_services_are_constructible(self, rssd):
         rssd.write(0, b"x")
-        assert rssd.recovery_engine() is not None
+        assert ForensicsEngine(rssd).recovery() is not None
         assert rssd.analyzer() is not None
         assert rssd.remote_detector() is not None
 

@@ -1,11 +1,19 @@
-"""Tests for the enhanced trim handler and the recovery engine."""
+"""Tests for the enhanced trim handler and point-in-time rollback on RSSD."""
 
 import pytest
 
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
 from repro.core.trim_handler import TrimMode, TrimRejectedError
+from repro.forensics import ForensicsEngine
 from repro.ssd.flash import PageContent
+
+
+def roll_back(rssd, timestamp_us, lbas=None):
+    """Rebuild the image as of ``timestamp_us`` and apply it to ``rssd``."""
+    recovery = ForensicsEngine(rssd).recovery()
+    image = recovery.rebuild_image(timestamp_us, simulate_fetch=True, lbas=lbas)
+    return image, recovery.apply(image)
 
 
 @pytest.fixture
@@ -32,8 +40,8 @@ class TestEnhancedTrim:
         attack_start = rssd.clock.now_us
         rssd.clock.advance(10)
         rssd.trim(5, 1)
-        report = rssd.recover_to(attack_start, lbas=[5])
-        assert report.pages_restored == 1
+        image, written = roll_back(rssd, attack_start, lbas=[5])
+        assert written == 1 and sorted(image.pages) == [5]
         assert rssd.read(5).startswith(b"original content of page 05")
 
     def test_disabled_mode_rejects_trim(self, loaded_rssd):
@@ -113,17 +121,18 @@ class TestEnhancedTrim:
         assert per_op.clock.now_us == batched.clock.now_us
 
 
-class TestRecoveryEngine:
+class TestPointInTimeRollback:
     def test_restore_to_reverses_overwrites(self, loaded_rssd):
         rssd = loaded_rssd
         clean_point = rssd.clock.now_us
         rssd.clock.advance(100)
         for lba in range(8):
             rssd.write(lba, b"ENCRYPTED!!! pay the ransom now " * 2, stream_id=9)
-        report = rssd.recover_to(clean_point)
-        assert report.recovered_everything
-        assert report.pages_restored >= 8
-        for lba in range(8):
+        image, written = roll_back(rssd, clean_point)
+        assert image.is_exact and image.pages_lost == 0
+        # Only the overwritten pages are rewritten; 8..15 are still clean.
+        assert written == 8
+        for lba in range(16):
             assert rssd.read(lba).startswith(b"original content of page %02d" % lba)
 
     def test_restore_drops_pages_created_after_target(self, loaded_rssd):
@@ -132,10 +141,33 @@ class TestRecoveryEngine:
         rssd.clock.advance(100)
         new_lba = 100
         rssd.write(new_lba, b"attacker staging file", stream_id=9)
-        report = rssd.recover_to(clean_point)
-        assert new_lba not in [lba for lba in report.restored_lbas]
-        assert report.pages_reverted_to_unmapped >= 1
+        image, _ = roll_back(rssd, clean_point)
+        assert new_lba in image.created_after
+        assert new_lba not in image.pages and new_lba not in image.contents
         assert rssd.read(new_lba) == b"\x00" * rssd.page_size
+
+    def test_overwrite_issued_at_the_target_is_rolled_back(self, loaded_rssd):
+        """The write starts at the target but the log stamps its completion."""
+        rssd = loaded_rssd
+        target = rssd.clock.now_us
+        rssd.write(2, b"ciphertext issued at the target", stream_id=9)
+        assert rssd.ssd.ftl.lookup(2).written_us == target
+        image, written = roll_back(rssd, target)
+        assert written == 1
+        assert rssd.read(2).startswith(b"original content of page 02")
+
+    def test_trim_before_target_stays_trimmed(self, loaded_rssd):
+        """The page's state at the target is the trim, not its older bytes."""
+        rssd = loaded_rssd
+        rssd.trim(5, 1)
+        rssd.clock.advance(10)
+        target = rssd.clock.now_us
+        rssd.clock.advance(10)
+        rssd.write(5, b"written after the target", stream_id=9)
+        image, _ = roll_back(rssd, target)
+        assert 5 in image.unmapped
+        assert rssd.read_content(5) is None
+        assert rssd.read(5) == b"\x00" * rssd.page_size
 
     def test_undo_attack_limits_scope_to_malicious_streams(self, loaded_rssd):
         rssd = loaded_rssd
@@ -144,10 +176,14 @@ class TestRecoveryEngine:
         # Attacker overwrites lba 0; an innocent user writes lba 10.
         rssd.write(0, b"ciphertext", stream_id=66)
         rssd.write(10, b"legitimate user update", stream_id=2)
-        engine = rssd.recovery_engine()
-        report = engine.undo_attack(attack_start, malicious_streams=[66])
-        assert 0 in report.restored_lbas
-        assert 10 not in report.restored_lbas
+        scope = ForensicsEngine(rssd).timeline.lbas_modified_since(
+            attack_start, streams=[66]
+        )
+        assert scope == [0]
+        image, _ = roll_back(rssd, attack_start, lbas=scope)
+        assert 0 in image.contents
+        assert 10 not in image.pages
+        assert rssd.read(0).startswith(b"original content of page 00")
         # The user's write survives recovery.
         assert rssd.read(10).startswith(b"legitimate user update")
 
@@ -164,12 +200,20 @@ class TestRecoveryEngine:
             for lba in range(8):
                 rssd.write(lba, PageContent.synthetic(round_index * 1000 + lba, 4096, entropy=7.8))
         rssd.drain_offload_queue()
-        report = rssd.recover_to(clean_point, lbas=list(range(8)))
-        assert report.recovered_everything
-        assert report.pages_restored == 8
-        # At least some restores had to come back over NVMe-oE.
-        assert report.pages_restored_remote >= 0
+        # GC reclaims the clean versions' local copies once offloaded.
         for lba in range(8):
+            for record in rssd.retention.versions_for(lba):
+                if record.written_us <= clean_point:
+                    assert record.offloaded
+                    record.released = True
+        image, written = roll_back(rssd, clean_point, lbas=list(range(4)))
+        assert image.is_exact
+        assert written == 4 and sorted(image.pages) == [0, 1, 2, 3]
+        # The restores came back over NVMe-oE, and the fetch covered
+        # only the pages in scope.
+        assert image.recovered_remote == [0, 1, 2, 3]
+        assert image.duration_us > 0
+        for lba in range(4):
             assert rssd.read(lba).startswith(clean_data[lba])
 
     def test_recovery_report_duration_positive(self, loaded_rssd):
@@ -177,9 +221,8 @@ class TestRecoveryEngine:
         clean_point = rssd.clock.now_us
         rssd.clock.advance(10)
         rssd.write(0, b"ciphertext", stream_id=9)
-        report = rssd.recover_to(clean_point)
-        assert report.duration_us >= 0
-        assert report.duration_seconds == pytest.approx(report.duration_us / 1e6)
+        image, _ = roll_back(rssd, clean_point)
+        assert image.duration_us >= 0
 
     def test_lbas_modified_since(self, loaded_rssd):
         rssd = loaded_rssd
@@ -187,7 +230,9 @@ class TestRecoveryEngine:
         rssd.clock.advance(10)
         rssd.write(3, b"new data")
         rssd.trim(7, 1)
-        engine = rssd.recovery_engine()
-        modified = engine.lbas_modified_since(stamp + 1)
-        assert 3 in modified and 7 in modified
-        assert 1 not in modified
+        rssd.write(9, b"other stream", stream_id=4)
+        timeline = ForensicsEngine(rssd).timeline
+        modified = timeline.lbas_modified_since(stamp + 1)
+        assert modified == [3, 7, 9]
+        assert timeline.lbas_modified_since(stamp + 1, streams=[4]) == [9]
+        assert timeline.lbas_modified_since(stamp + 1, streams=[]) == []

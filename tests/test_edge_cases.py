@@ -6,6 +6,7 @@ from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
 from repro.defenses.flashguard import FlashGuardDefense
 from repro.defenses.ssdinsider import SSDInsiderDefense
+from repro.forensics import ForensicsEngine
 from repro.nvmeoe.remote import ObjectStore, StorageServer, TieredRemote
 from repro.ssd.device import SSD
 from repro.ssd.errors import CapacityExhaustedError, OutOfRangeError
@@ -149,9 +150,13 @@ class TestRecoveryEdgeCases:
     def test_recovery_with_no_damage_is_a_noop(self):
         rssd = RSSD(config=RSSDConfig.tiny())
         rssd.write(0, b"data")
-        report = rssd.recover_to(rssd.clock.now_us)
-        assert report.pages_restored == 0
-        assert report.pages_unrecoverable == 0
+        entries = rssd.oplog.total_entries
+        recovery = ForensicsEngine(rssd).recovery()
+        image = recovery.rebuild_image(rssd.clock.now_us)
+        assert image.pages_lost == 0
+        assert recovery.apply(image) == 0
+        # Nothing was rewritten, so nothing new was logged either.
+        assert rssd.oplog.total_entries == entries
 
     def test_recovery_scoped_to_explicit_lbas_only(self):
         rssd = RSSD(config=RSSDConfig.tiny())
@@ -161,14 +166,20 @@ class TestRecoveryEdgeCases:
         rssd.clock.advance(10)
         rssd.write(0, b"encrypted!", stream_id=9)
         rssd.write(1, b"encrypted!", stream_id=9)
-        report = rssd.recover_to(clean, lbas=[0])
-        assert report.pages_restored == 1
+        recovery = ForensicsEngine(rssd).recovery()
+        image = recovery.rebuild_image(clean, lbas=[0])
+        assert sorted(image.pages) == [0]
+        assert recovery.apply(image) == 1
         assert rssd.read(0).startswith(b"keep me original")
         assert rssd.read(1).startswith(b"encrypted!")
 
     def test_undo_attack_with_no_malicious_ops_restores_nothing(self):
         rssd = RSSD(config=RSSDConfig.tiny())
         rssd.write(0, b"data")
-        report = rssd.recovery_engine().undo_attack(0, malicious_streams=[999])
-        assert report.pages_restored == 0
-        assert report.pages_examined == 0
+        engine = ForensicsEngine(rssd)
+        scope = engine.timeline.lbas_modified_since(0, streams=[999])
+        assert scope == []
+        image = engine.recovery().rebuild_image(0, lbas=scope)
+        assert image.pages == {} and image.created_after == []
+        assert engine.recovery().apply(image) == 0
+        assert rssd.read(0).startswith(b"data")

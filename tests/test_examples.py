@@ -1,8 +1,7 @@
 """Examples smoke suite: every ``examples/*.py`` script must run clean.
 
-The examples are the first code a new user executes; this suite (and the
-CI ``examples-smoke`` job that runs it) keeps them working against the
-current ``repro.api`` surface.  ``REPRO_SMOKE=1`` shrinks the long
+The examples are the first code a new user executes; this suite keeps
+them working against the current ``repro.api`` surface.  ``REPRO_SMOKE=1`` shrinks the long
 recovery walkthrough to one small scenario, mirroring the benchmark
 suite's smoke convention.
 """

@@ -6,6 +6,7 @@ assert the *shape* of the results the paper reports.
 
 import pytest
 
+from repro.ablation import experiments as ablation
 from repro.analysis import experiments as ex
 from repro.ssd.geometry import SSDGeometry
 
@@ -62,7 +63,7 @@ class TestForensicsExperiment:
 
 class TestOffloadAblation:
     def test_compression_saves_bandwidth(self):
-        rows = ex.run_offload_ablation(volumes=["hm", "email"], duration_s=0.05)
+        rows = ablation.run_offload_ablation(volumes=["hm", "email"], duration_s=0.05)
         assert len(rows) == 2
         for row in rows:
             assert row.pages_offloaded > 0
@@ -70,14 +71,14 @@ class TestOffloadAblation:
             assert row.compressed_mb <= row.raw_mb
 
     def test_more_compressible_volume_ships_fewer_bytes_per_page(self):
-        rows = {row.volume: row for row in ex.run_offload_ablation(volumes=["hm", "email"], duration_s=0.05)}
+        rows = {row.volume: row for row in ablation.run_offload_ablation(volumes=["hm", "email"], duration_s=0.05)}
         # hm's data is more compressible than email's (per the profiles).
         assert rows["hm"].compression_ratio < rows["email"].compression_ratio
 
 
 class TestTrimAblation:
     def test_enhanced_trim_is_the_only_mode_with_full_recovery_and_trim_support(self):
-        rows = {row.mode: row for row in ex.run_trim_ablation(victim_files=10)}
+        rows = {row.mode: row for row in ablation.run_trim_ablation(victim_files=10)}
         assert rows["enhanced"].recovered_fraction == 1.0
         assert rows["enhanced"].pages_trimmed > 0
         assert rows["naive"].recovered_fraction < 0.5
@@ -86,7 +87,7 @@ class TestTrimAblation:
 
 class TestDetectionAblation:
     def test_remote_detection_strictly_more_capable(self):
-        rows = {row.attack: row for row in ex.run_detection_ablation()}
+        rows = {row.attack: row for row in ablation.run_detection_ablation()}
         # Remote (offloaded) detection catches everything, including the
         # paced attack the local window detector misses.
         for attack, row in rows.items():

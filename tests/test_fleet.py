@@ -1,9 +1,8 @@
 """Tests for the fleet-scale trace replay runner.
 
-Fleets are built through :func:`repro.api.run_fleet` (or the runner's
-internal ``_create`` constructor, for tests that drive one runner
-through several scenarios); the deprecated direct ``FleetRunner(...)``
-construction is covered by ``test_api_deprecation``.
+Fleets are built through :func:`repro.api.run_fleet`, or directly as a
+``FleetRunner`` for tests that drive one runner through several
+scenarios.
 """
 
 import pytest
@@ -64,7 +63,7 @@ class TestFleetRunner:
     @pytest.fixture
     def tiny_fleet(self):
         geometry = SSDGeometry.tiny()
-        return FleetRunner._create(
+        return FleetRunner(
             factories={
                 "rssd-0": lambda: RSSD(RSSDConfig.tiny()),
                 "rssd-1": lambda: RSSD(RSSDConfig.tiny()),
@@ -127,3 +126,7 @@ class TestFleetRunner:
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
             run_fleet([], factories={})
+
+    def test_run_fleet_rejects_unknown_modes(self):
+        with pytest.raises(ValueError, match="unknown fleet mode"):
+            run_fleet([], mode="broadcast")

@@ -284,14 +284,43 @@ class TestPointInTimeRecovery:
         rssd, _, outcome = attacked_rssd(attack_cls=TrimmingAttack)
         engine = ForensicsEngine(rssd)
         image = engine.recover_to(outcome.start_us)
+        # Pages whose live copy already is the target version are left
+        # alone; only the others are rewritten.
+        stale = [
+            lba
+            for lba, content in image.contents.items()
+            if rssd.read_content(lba) is None
+            or rssd.read_content(lba).fingerprint != content.fingerprint
+        ]
+        assert stale
         written = engine.recovery().apply(image)
-        assert written == image.pages_recovered
+        assert written == len(stale)
         for lba, fingerprint in image.pages.items():
             live = rssd.read_content(lba)
             if fingerprint is None:
                 assert live is None
             else:
                 assert live is not None and live.fingerprint == fingerprint
+
+    @pytest.mark.parametrize("attack_cls", [ClassicRansomware, TrimmingAttack])
+    def test_apply_trims_pages_first_written_after_target(self, attack_cls):
+        rssd, recorder, outcome = attacked_rssd(attack_cls=attack_cls)
+        target_us = outcome.start_us
+        before = reference_image(recorder.ops, target_us)
+        written = {
+            op.lba + offset
+            for op in recorder.ops
+            if op.op_type is HostOpType.WRITE
+            for offset in range(max(1, op.npages))
+        }
+        created_after = written - set(before)
+        assert created_after, "the ransom note is written after the target"
+        engine = ForensicsEngine(rssd)
+        image = engine.recover_to(target_us)
+        assert created_after <= set(image.created_after)
+        engine.recovery().apply(image)
+        for lba in sorted(created_after):
+            assert rssd.read_content(lba) is None, lba
 
     def test_empty_log_recovers_nothing(self, rssd):
         engine = ForensicsEngine(rssd)

@@ -9,6 +9,7 @@ from repro.attacks.timing_attack import TimingAttack
 from repro.attacks.trimming_attack import TrimmingAttack
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
+from repro.forensics import ForensicsEngine
 from repro.host.blockdev import HostBlockDevice
 from repro.host.filesystem import SimpleFS
 from repro.ssd.geometry import SSDGeometry
@@ -16,9 +17,20 @@ from repro.workloads.replay import TraceReplayer
 from repro.workloads.synthetic import ZipfianWorkload
 
 
+def undo_attack(rssd, outcome):
+    """Roll back every page the attacker's streams touched; return the image."""
+    engine = ForensicsEngine(rssd)
+    scope = engine.timeline.lbas_modified_since(
+        outcome.start_us, streams=outcome.malicious_streams
+    )
+    image = engine.recovery().rebuild_image(outcome.start_us, simulate_fetch=True, lbas=scope)
+    engine.recovery().apply(image)
+    return image
+
+
 def restore_files(rssd, env, outcome):
     """Recover victim data and rebuild any deleted namespace entries."""
-    report = rssd.recovery_engine().undo_attack(outcome.start_us, outcome.malicious_streams)
+    image = undo_attack(rssd, outcome)
     recovered = {}
     for name, original in outcome.original_contents.items():
         if env.fs.exists(name):
@@ -26,7 +38,7 @@ def restore_files(rssd, env, outcome):
         else:
             extent = outcome.original_extents[name]
             recovered[name] = b"".join(rssd.read(lba) for lba in extent)[: len(original)]
-    return report, recovered
+    return image, recovered
 
 
 @pytest.mark.parametrize(
@@ -48,8 +60,8 @@ def test_full_loop_every_attack_is_recovered_and_attributed(attack_factory):
     rssd.drain_offload_queue()
 
     # 1. Zero data loss: every victim file's bytes are recoverable.
-    report, recovered = restore_files(rssd, env, outcome)
-    assert report.recovered_everything
+    image, recovered = restore_files(rssd, env, outcome)
+    assert image.pages_lost == 0
     for name, original in outcome.original_contents.items():
         assert recovered[name] == original, name
 
@@ -83,8 +95,8 @@ def test_background_workload_interleaved_with_attack_still_recovers_cleanly():
     TraceReplayer(rssd, honor_timestamps=False).replay(workload.generate(0.2))
     rssd.drain_offload_queue()
 
-    report, recovered = restore_files(rssd, env, outcome)
-    assert report.recovered_everything
+    image, recovered = restore_files(rssd, env, outcome)
+    assert image.pages_lost == 0
     for name, original in outcome.original_contents.items():
         assert recovered[name] == original
 
@@ -119,7 +131,7 @@ def test_filesystem_rebuilt_from_recovered_extents_is_usable():
     rssd = RSSD(config=RSSDConfig.tiny())
     env = provision_environment(rssd, victim_files=8, file_size_bytes=8192)
     outcome = TrimmingAttack().execute(env)
-    rssd.recovery_engine().undo_attack(outcome.start_us, outcome.malicious_streams)
+    undo_attack(rssd, outcome)
 
     # Re-create the namespace on a fresh file system view and keep using it.
     blockdev = HostBlockDevice(rssd, stream_id=env.user_stream)

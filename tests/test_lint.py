@@ -99,12 +99,6 @@ class TestLayeringRules:
         findings = run_fixture("layering")
         assert rules_for(findings, "good_deferred") == []
 
-    def test_deprecated_import_outside_shim_is_l203(self):
-        findings = run_fixture("layering")
-        rules = rules_for(findings, "bad_deprecated")
-        assert "REPRO-L203" in rules
-        assert "REPRO-L201" in rules  # core -> campaign is also upward
-
 
 # -- serialization rules -----------------------------------------------------
 
@@ -370,15 +364,6 @@ class TestLayersToml:
             source = path.with_suffix(".py").read_text(encoding="utf-8")
             assert f"class {spec.root}" in source, spec.name
             assert spec.version_const in source, spec.name
-
-    def test_deprecated_entries_match_real_shims(self):
-        model = LayerModel.load()
-        for entry in model.deprecated:
-            path = REPO_ROOT / "src" / Path(*entry.module.split("."))
-            source = path.with_suffix(".py").read_text(encoding="utf-8")
-            assert entry.symbol in source, entry.name
-            assert f'warn_once(\n        "{entry.name}"' in source or \
-                f'warn_once("{entry.name}"' in source, entry.name
 
     def test_architecture_doc_points_at_the_table(self):
         doc = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
