@@ -59,15 +59,17 @@ class GCAttack(RansomwareAttack):
 
     def _fill_capacity(self, env: AttackEnvironment) -> int:
         junk_written = 0
-        page_size = env.blockdev.page_size
+        junk_len = env.blockdev.page_size * self.junk_file_pages
         target_free = int(env.blockdev.capacity_pages * (1.0 - self.fill_fraction))
         with self._as_attacker(env):
             for index in range(self.max_junk_files):
                 if env.fs.free_pages_remaining() <= max(target_free, self.junk_file_pages):
                     break
-                junk = bytes(
-                    self.rng.getrandbits(8) for _ in range(page_size * self.junk_file_pages)
-                )
+                # The top byte of each 32-bit generator output.  CPython
+                # assembles a wide draw from successive outputs, least
+                # significant first, so these are the bytes (and the rng
+                # state) of ``junk_len`` getrandbits(8) calls.
+                junk = self.rng.getrandbits(32 * junk_len).to_bytes(4 * junk_len, "little")[3::4]
                 try:
                     env.fs.create_file(f".cache_{index:06d}.bin", junk)
                 except (FileSystemError, SSDError):

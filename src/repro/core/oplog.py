@@ -222,23 +222,6 @@ class OperationLog:
         by_sequence = {entry.sequence: entry for entry in self.all_entries()}
         return [by_sequence[seq] for seq in sequences if seq in by_sequence]
 
-    def entries_between(
-        self, start_us: Optional[int] = None, end_us: Optional[int] = None
-    ) -> List[LogEntry]:
-        """Entries whose timestamps fall in [start_us, end_us]."""
-        selected = []
-        for entry in self.all_entries():
-            if start_us is not None and entry.timestamp_us < start_us:
-                continue
-            if end_us is not None and entry.timestamp_us > end_us:
-                continue
-            selected.append(entry)
-        return selected
-
-    def entries_for_stream(self, stream_id: int) -> List[LogEntry]:
-        """Entries attributed to one host stream."""
-        return [entry for entry in self.all_entries() if entry.stream_id == stream_id]
-
     # -- integrity ----------------------------------------------------------------
 
     def verify_integrity(self, entries: Optional[Iterable[LogEntry]] = None) -> bool:

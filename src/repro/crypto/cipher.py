@@ -9,25 +9,26 @@ simulation requires of it.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
 
 
 def keystream_bytes(key: bytes, nonce: int, length: int) -> bytes:
-    """Generate ``length`` keystream bytes for (``key``, ``nonce``)."""
+    """Generate ``length`` keystream bytes for (``key``, ``nonce``).
+
+    Block ``i`` is ``SHA-256(key || nonce || i)`` with a 16-byte
+    big-endian nonce and an 8-byte big-endian counter.
+    """
     if length < 0:
         raise ValueError("length must be non-negative")
     if not key:
         raise ValueError("key must not be empty")
+    if not 0 <= nonce < 1 << 128:
+        raise ValueError("nonce must be within [0, 2**128)")
+    prefix = hashlib.sha256(key + nonce.to_bytes(16, "big"))
     blocks = []
-    counter = 0
-    produced = 0
-    while produced < length:
-        block = hashlib.sha256(
-            key + nonce.to_bytes(16, "big", signed=False) + counter.to_bytes(8, "big")
-        ).digest()
-        blocks.append(block)
-        produced += len(block)
-        counter += 1
+    for counter in range((length + 31) // 32):
+        block = prefix.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
     return b"".join(blocks)[:length]
 
 
@@ -46,21 +47,14 @@ class StreamCipher:
 
     def encrypt(self, plaintext: bytes, nonce: int) -> bytes:
         """Encrypt ``plaintext`` under the given message nonce."""
-        if nonce < 0:
-            raise ValueError("nonce must be non-negative")
-        stream = keystream_bytes(self._key, nonce, len(plaintext))
-        return bytes(p ^ s for p, s in zip(plaintext, stream))
+        length = len(plaintext)
+        stream = keystream_bytes(self._key, nonce, length)
+        mixed = int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
+        return mixed.to_bytes(length, "big")
 
     def decrypt(self, ciphertext: bytes, nonce: int) -> bytes:
         """Decrypt ``ciphertext`` (identical to :meth:`encrypt` for XOR)."""
         return self.encrypt(ciphertext, nonce)
-
-    def encrypt_stream(self, chunks: Iterator[bytes], nonce: int) -> Iterator[bytes]:
-        """Encrypt an iterator of chunks under one logical message nonce."""
-        offset_nonce = nonce
-        for chunk in chunks:
-            yield self.encrypt(chunk, offset_nonce)
-            offset_nonce += 1
 
     @classmethod
     def from_passphrase(cls, passphrase: str) -> "StreamCipher":

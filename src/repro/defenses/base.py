@@ -11,6 +11,7 @@ the measured version of the paper's Table 1.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from typing import Callable, List, Optional, Protocol, runtime_checkable
 
 from repro.sim import SimClock, US_PER_DAY
@@ -208,6 +209,8 @@ class SelectiveRetentionPolicy:
     The policy keeps its own index of retained versions; defenses answer
     ``pre_attack_version`` from that index, so expiry and eviction take
     effect immediately regardless of when GC physically erases pages.
+    The index is keyed by record identity: the FTL builds each
+    :class:`StalePage` once and GC hands back that same object.
     """
 
     def __init__(
@@ -227,7 +230,8 @@ class SelectiveRetentionPolicy:
         self.window_us = window_us
         self.capacity_pages = capacity_pages
         self.pin_under_pressure = pin_under_pressure
-        self._retained: List[StalePage] = []
+        #: Retained records, oldest first, keyed by ``id(record)``.
+        self._retained: OrderedDict[int, StalePage] = OrderedDict()
         self._evicted = 0
         self._forced_releases = 0
         #: Passive callbacks invoked with ``(record, cause, timestamp_us)``
@@ -242,9 +246,9 @@ class SelectiveRetentionPolicy:
     def on_invalidate(self, record: StalePage) -> None:
         if not self.should_retain(record):
             return
-        self._retained.append(record)
+        self._retained[id(record)] = record
         while len(self._retained) > self.capacity_pages:
-            evicted = self._retained.pop(0)
+            _, evicted = self._retained.popitem(last=False)
             evicted.released = True
             self._evicted += 1
             for listener in self.evict_listeners:
@@ -254,14 +258,13 @@ class SelectiveRetentionPolicy:
         return (self.clock.now_us - record.invalidated_us) > self.window_us
 
     def _is_retained(self, record: StalePage) -> bool:
-        return record in self._retained and not record.released and not self._expired(record)
+        return id(record) in self._retained and not record.released and not self._expired(record)
 
     def may_release(self, record: StalePage) -> bool:
         return not self._is_retained(record)
 
     def on_release(self, record: StalePage) -> None:
-        if record in self._retained:
-            self._retained.remove(record)
+        self._retained.pop(id(record), None)
 
     def on_relocate(self, record: StalePage, new_ppn: int) -> None:
         return None
@@ -271,7 +274,7 @@ class SelectiveRetentionPolicy:
             return 0
         released = 0
         while self._retained and released < needed_pages:
-            record = self._retained.pop(0)
+            _, record = self._retained.popitem(last=False)
             record.released = True
             self._forced_releases += 1
             released += 1
@@ -283,7 +286,7 @@ class SelectiveRetentionPolicy:
 
     @property
     def retained_count(self) -> int:
-        return sum(1 for record in self._retained if self._is_retained(record))
+        return sum(1 for record in self._retained.values() if self._is_retained(record))
 
     @property
     def evicted_count(self) -> int:
@@ -292,7 +295,7 @@ class SelectiveRetentionPolicy:
     def lookup(self, lba: int, before_us: int) -> Optional[PageContent]:
         """Newest retained version of ``lba`` written at or before ``before_us``."""
         best: Optional[StalePage] = None
-        for record in self._retained:
+        for record in self._retained.values():
             if record.lpn != lba or record.released or self._expired(record):
                 continue
             if record.written_us <= before_us:

@@ -40,12 +40,15 @@ def shannon_entropy(data: bytes) -> float:
     """Shannon entropy of ``data`` in bits per byte (0.0 for empty input)."""
     if not data:
         return 0.0
-    counts: Dict[int, int] = {}
-    for byte in data:
-        counts[byte] = counts.get(byte, 0) + 1
+    # Sum the terms in the order byte values first occur in ``data``:
+    # float addition is not associative, and this order is part of the
+    # determinism contract (docs/ARCHITECTURE.md).
+    _, first, counts = np.unique(
+        np.frombuffer(data, np.uint8), return_index=True, return_counts=True
+    )
     total = len(data)
     entropy = 0.0
-    for count in counts.values():
+    for count in counts[np.argsort(first)].tolist():
         probability = count / total
         entropy -= probability * math.log2(probability)
     return entropy

@@ -130,8 +130,9 @@ class TestTimingAttack:
     def test_camouflage_traffic_uses_user_stream(self):
         env = rssd_environment(victim_files=4)
         TimingAttack(files_per_batch=1, camouflage_writes_per_batch=6).execute(env)
-        user_entries = env.device.oplog.entries_for_stream(env.user_stream)
-        attacker_entries = env.device.oplog.entries_for_stream(env.attacker_stream)
+        entries = env.device.oplog.all_entries()
+        user_entries = [entry for entry in entries if entry.stream_id == env.user_stream]
+        attacker_entries = [entry for entry in entries if entry.stream_id == env.attacker_stream]
         assert len(user_entries) > 0
         assert len(attacker_entries) > 0
         # Camouflage makes the user stream the dominant write source.

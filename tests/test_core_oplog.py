@@ -83,20 +83,6 @@ class TestLogQueries:
         assert log.entries_for_lba(12)
         assert not log.entries_for_lba(13)
 
-    def test_entries_between_timestamps(self):
-        log = OperationLog()
-        for index, ts in enumerate((100, 200, 300, 400)):
-            log.on_host_op(host_op(index, ts=ts))
-        selected = log.entries_between(start_us=150, end_us=350)
-        assert [entry.timestamp_us for entry in selected] == [200, 300]
-
-    def test_entries_for_stream(self):
-        log = OperationLog()
-        log.on_host_op(host_op(0, stream=1))
-        log.on_host_op(host_op(1, stream=2))
-        log.on_host_op(host_op(2, stream=2))
-        assert len(log.entries_for_stream(2)) == 2
-
 
 class TestLogIntegrity:
     def test_verify_clean_log(self):
