@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.compat import DATACLASS_SLOTS
+from repro.compat import DATACLASS_SLOTS, field_setters
 from repro.ssd.errors import FlashStateError
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.kernel import NO_LPN, PAGE_FREE, PAGE_INVALID, PAGE_VALID, SimKernel
@@ -137,8 +137,9 @@ class PageContent:
         The replayer materialises one content object per written page,
         so construction cost is a measurable slice of trace replay.  The
         shared attributes are validated once up front, then the
-        instances are built directly without re-running per-field
-        validation.
+        instances are filled directly through the fields' setters
+        (:func:`repro.compat.field_setters`), without re-running
+        per-field validation or the frozen ``__setattr__``.
         """
         if length < 0:
             raise ValueError("length must be non-negative")
@@ -147,16 +148,16 @@ class PageContent:
         if not 0.0 < compress_ratio <= 1.0:
             raise ValueError("compress_ratio must be within (0, 1]")
         new = cls.__new__
-        fill = object.__setattr__
+        set_fingerprint, set_length, set_entropy, set_ratio, set_payload = _CONTENT_SETTERS
         run: List["PageContent"] = []
         append = run.append
         for fingerprint in fingerprints:
             content = new(cls)
-            fill(content, "fingerprint", fingerprint)
-            fill(content, "length", length)
-            fill(content, "entropy", entropy)
-            fill(content, "compress_ratio", compress_ratio)
-            fill(content, "payload", None)
+            set_fingerprint(content, fingerprint)
+            set_length(content, length)
+            set_entropy(content, entropy)
+            set_ratio(content, compress_ratio)
+            set_payload(content, None)
             append(content)
         return run
 
@@ -168,6 +169,11 @@ class PageContent:
     def compressed_size(self) -> int:
         """Estimated size after compression, in bytes."""
         return max(1, int(self.length * self.compress_ratio))
+
+
+_CONTENT_SETTERS = field_setters(
+    PageContent, ("fingerprint", "length", "entropy", "compress_ratio", "payload")
+)
 
 
 class PageState(enum.Enum):

@@ -8,7 +8,8 @@ request sizes, working-set skew).  Retention-time results depend on the
 *write volume and overwrite behaviour per day*, which the generators
 reproduce per volume.
 
-* :mod:`repro.workloads.records` -- the trace record format and stats.
+* :mod:`repro.workloads.records` -- the trace record format, the
+  columnar :class:`~repro.workloads.records.Trace`, and stats.
 * :mod:`repro.workloads.synthetic` -- generic generators (sequential,
   uniform random, Zipfian, mixed).
 * :mod:`repro.workloads.msr` -- MSR-Cambridge volume profiles.
@@ -31,6 +32,7 @@ from repro.workloads.fleet import (
 )
 from repro.workloads.msr import MSR_VOLUMES, load_msr_trace, msr_profile
 from repro.workloads.records import (
+    Trace,
     TraceParseError,
     TraceRecord,
     TraceStats,
@@ -59,6 +61,7 @@ __all__ = [
     "MixedWorkload",
     "ReplayResult",
     "SequentialWorkload",
+    "Trace",
     "TraceParseError",
     "TraceRecord",
     "TraceReplayer",

@@ -112,6 +112,7 @@ class FleetReport:
     devices: List[FleetDeviceReport] = field(default_factory=list)
 
     def device(self, name: str) -> FleetDeviceReport:
+        """The report row of the device called ``name`` (``KeyError`` if none)."""
         for report in self.devices:
             if report.name == name:
                 return report

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, List
+
+import numpy as np
 
 from repro.ssd.device import SSD
 from repro.ssd.flash import PageContent
-from repro.workloads.records import TraceOp, TraceRecord
+from repro.workloads.records import OP_CODES, Trace, TraceOp, TraceRecord
+
+_FINGERPRINT_MASK = 0xFFFFFFFFFFFFFFFF
+_READ, _WRITE, _TRIM, _FLUSH = (
+    OP_CODES[op] for op in (TraceOp.READ, TraceOp.WRITE, TraceOp.TRIM, TraceOp.FLUSH)
+)
 
 
 @dataclass
@@ -37,10 +44,12 @@ class ReplayResult:
 
     @property
     def mean_write_latency_us(self) -> float:
+        """Device write latency accrued during the replay, per write record."""
         return self.total_write_latency_us / self.writes if self.writes else 0.0
 
     @property
     def mean_read_latency_us(self) -> float:
+        """Device read latency accrued during the replay, per read record."""
         return self.total_read_latency_us / self.reads if self.reads else 0.0
 
 
@@ -63,7 +72,7 @@ class TraceReplayer:
         self._write_sequence += 1
         fingerprint = hash(
             (record.stream_id, record.lba + page_offset, self._write_sequence)
-        ) & 0xFFFFFFFFFFFFFFFF
+        ) & _FINGERPRINT_MASK
         return PageContent.synthetic(
             fingerprint=fingerprint,
             length=self.device.page_size,
@@ -153,122 +162,168 @@ class BatchTraceReplayer(TraceReplayer):
     def replay(self, records: Iterable[TraceRecord]) -> ReplayResult:
         """Apply every record, coalescing contiguous same-op runs.
 
-        The grouping scan is the per-record cost of the batched path, so
-        it runs with everything hoisted into locals: for each run the
-        inner loop consumes records until the run breaks (op change,
-        stream change, discontiguity, or the page cap), then issues one
-        vectorized device call.
+        The replay is planned over the trace's columns (a non-:class:`Trace`
+        input is converted once), so the only Python loops left are one
+        per device call and one hash per written page:
+
+        * LBAs are mapped into the device range as a column;
+        * a run breaks on an op or stream change, on a discontiguity
+          (``mapped[i] != mapped[i-1] + pages[i-1]``) and at every FLUSH,
+          so each FLUSH is a call of its own;
+        * each run is split greedily at ``max_batch_pages`` by a search
+          over the cumulative page column (a chunk's first record always
+          goes in, even when it alone exceeds the cap);
+        * write contents come from one ``PageContent.synthetic_run`` per
+          stretch of write records sharing ``(entropy, compress_ratio)``.
         """
-        trace = records if isinstance(records, list) else list(records)
-        result = ReplayResult()
+        trace = Trace.from_records(records)
         device = self.device
         metrics = device.metrics
         before_read = metrics.latency["read"].total_us
         before_write = metrics.latency["write"].total_us
-        max_pages = self.max_batch_pages
-        honor_timestamps = self.honor_timestamps
-        capacity = device.capacity_pages
-        page_size = device.page_size
-        synthetic_run = PageContent.synthetic_run
-        mask = 0xFFFFFFFFFFFFFFFF
+        result = ReplayResult(records_replayed=len(trace))
         write_seq = self._write_sequence
-        advance_to = device.clock.advance_to
-        write_batch = device.write_batch
-        read_batch = device.read_batch
-        trim_range = device.trim_range
-        WRITE, READ, FLUSH = TraceOp.WRITE, TraceOp.READ, TraceOp.FLUSH
-
-        index = 0
-        total = len(trace)
-        while index < total:
-            record = trace[index]
-            op = record.op
-            if op is FLUSH:
-                if honor_timestamps:
-                    advance_to(record.timestamp_us)
-                device.flush(stream_id=record.stream_id)
-                result.flushes += 1
-                result.device_calls += 1
-                result.records_replayed += 1
-                index += 1
-                continue
-            stream = record.stream_id
-            npages = record.npages
-            raw_lba = record.lba
-            if npages:
-                modulus = capacity - npages
-                start_lba = raw_lba % (modulus if modulus > 1 else 1)
-            else:
-                npages = 1
-                start_lba = raw_lba
-            pages = npages
-            merged = 1
-            if op is WRITE:
-                contents = synthetic_run(
-                    [
-                        hash((stream, raw_lba + offset, write_seq + 1 + offset)) & mask
-                        for offset in range(npages)
-                    ],
-                    page_size,
-                    record.entropy,
-                    record.compress_ratio,
-                )
-                write_seq += npages
-            cursor = index + 1
-            while cursor < total:
-                nxt = trace[cursor]
-                if nxt.op is not op or nxt.stream_id != stream:
-                    break
-                next_pages = nxt.npages
-                raw_lba = nxt.lba
-                if next_pages:
-                    if pages + next_pages > max_pages:
-                        break
-                    modulus = capacity - next_pages
-                    lba = raw_lba % (modulus if modulus > 1 else 1)
-                else:
-                    next_pages = 1
-                    if pages + 1 > max_pages:
-                        break
-                    lba = raw_lba
-                if lba != start_lba + pages:
-                    break
-                if op is WRITE:
-                    contents.extend(
-                        synthetic_run(
-                            [
-                                hash((stream, raw_lba + offset, write_seq + 1 + offset)) & mask
-                                for offset in range(next_pages)
-                            ],
-                            page_size,
-                            nxt.entropy,
-                            nxt.compress_ratio,
-                        )
-                    )
-                    write_seq += next_pages
-                pages += next_pages
-                merged += 1
-                cursor += 1
-            if honor_timestamps:
-                advance_to(trace[cursor - 1].timestamp_us)
-            if op is WRITE:
-                write_batch(start_lba, contents, stream_id=stream)
-                result.writes += merged
-                result.pages_written += pages
-            elif op is READ:
-                read_batch(start_lba, pages, stream_id=stream)
-                result.reads += merged
-                result.pages_read += pages
-            else:
-                trim_range(start_lba, pages, stream_id=stream)
-                result.trims += merged
-                result.pages_trimmed += pages
-            result.device_calls += 1
-            result.records_replayed += merged
-            index = cursor
-
+        if len(trace):
+            write_seq = self._replay_columns(trace, result, write_seq)
         self._write_sequence = write_seq
         result.end_timestamp_us = device.clock.now_us
         result.total_read_latency_us = metrics.latency["read"].total_us - before_read
         result.total_write_latency_us = metrics.latency["write"].total_us - before_write
         return result
+
+    def _replay_columns(self, trace: Trace, result: ReplayResult, write_seq: int) -> int:
+        """Plan and issue the device calls; returns the new write sequence."""
+        device = self.device
+        codes = trace.op
+        streams = trace.stream_id
+        npages = trace.npages
+        total = len(trace)
+        pages = np.maximum(npages, 1)
+        modulus = np.maximum(device.capacity_pages - npages, 1)
+        mapped = np.where(npages > 0, trace.lba % modulus, trace.lba)
+        flush = codes == _FLUSH
+        breaks = np.ones(total, dtype=bool)
+        breaks[1:] = (
+            (codes[1:] != codes[:-1])
+            | (streams[1:] != streams[:-1])
+            | (mapped[1:] != mapped[:-1] + pages[:-1])
+            | flush[1:]
+        )
+        through = np.cumsum(pages)
+        starts = self._split_runs(np.flatnonzero(breaks), through, pages)
+        stops = np.append(starts[1:], total)
+        chunk_pages = through[stops - 1] - through[starts] + pages[starts]
+
+        write = codes == _WRITE
+        write_pages = np.where(write, pages, 0)
+        contents = self._write_contents(trace, write, write_pages, write_seq)
+        page_offsets = np.cumsum(write_pages) - write_pages
+
+        read, trim = codes == _READ, codes == _TRIM
+        result.reads = int(np.count_nonzero(read))
+        result.writes = int(np.count_nonzero(write))
+        result.trims = int(np.count_nonzero(trim))
+        result.flushes = int(np.count_nonzero(flush))
+        result.pages_read = int(pages[read].sum())
+        result.pages_written = len(contents)
+        result.pages_trimmed = int(pages[trim].sum())
+        result.device_calls = len(starts)
+
+        honor_timestamps = self.honor_timestamps
+        advance_to = device.clock.advance_to
+        write_batch = device.write_batch
+        read_batch = device.read_batch
+        trim_range = device.trim_range
+        for code, stream, lba, count, offset, stamp in zip(
+            codes[starts].tolist(),
+            streams[starts].tolist(),
+            mapped[starts].tolist(),
+            chunk_pages.tolist(),
+            page_offsets[starts].tolist(),
+            trace.timestamp_us[stops - 1].tolist(),
+        ):
+            if honor_timestamps:
+                advance_to(stamp)
+            if code == _WRITE:
+                write_batch(lba, contents[offset : offset + count], stream_id=stream)
+            elif code == _READ:
+                read_batch(lba, count, stream_id=stream)
+            elif code == _TRIM:
+                trim_range(lba, count, stream_id=stream)
+            else:
+                device.flush(stream_id=stream)
+        return write_seq + len(contents)
+
+    def _split_runs(
+        self, run_starts: np.ndarray, through: np.ndarray, pages: np.ndarray
+    ) -> np.ndarray:
+        """Chunk starts: each run split greedily at ``max_batch_pages``.
+
+        ``through[i]`` counts the pages of records ``0..i``; it strictly
+        increases, so a search finds the first record that would overflow
+        the chunk begun at ``start``.
+        """
+        max_pages = self.max_batch_pages
+        before = through - pages
+        run_stops = np.append(run_starts[1:], len(pages))
+        oversized = through[run_stops - 1] - before[run_starts] > max_pages
+        splits: List[int] = []
+        for start, stop in zip(run_starts[oversized].tolist(), run_stops[oversized].tolist()):
+            while True:
+                limit = int(before[start]) + max_pages
+                start = max(start + 1, int(through.searchsorted(limit, side="right")))
+                if start >= stop:
+                    break
+                splits.append(start)
+        if not splits:
+            return run_starts
+        return np.union1d(run_starts, np.array(splits, dtype=np.int64))
+
+    def _write_contents(
+        self, trace: Trace, write: np.ndarray, write_pages: np.ndarray, write_seq: int
+    ) -> List[PageContent]:
+        """Every written page's content, in trace order.
+
+        Page ``k`` of a write record gets fingerprint
+        ``hash((stream_id, lba + k, seq)) & MASK``, where ``lba`` is the
+        record's raw (unmapped) LBA and ``seq`` counts written pages
+        from the replayer's ``_write_sequence`` on.
+        """
+        per_record = write_pages[write]
+        if not per_record.size:
+            return []
+        first_page = np.cumsum(per_record) - per_record
+        page_in_record = np.arange(int(per_record.sum()), dtype=np.int64) - np.repeat(
+            first_page, per_record
+        )
+        mask = _FINGERPRINT_MASK
+        fingerprints = [
+            hash(key) & mask
+            for key in zip(
+                np.repeat(trace.stream_id[write], per_record).tolist(),
+                (np.repeat(trace.lba[write], per_record) + page_in_record).tolist(),
+                range(write_seq + 1, write_seq + 1 + len(page_in_record)),
+            )
+        ]
+        # Stretches of consecutive write records whose descriptors are
+        # bit-identical share one synthetic_run call.
+        entropy = trace.entropy[write]
+        ratio = trace.compress_ratio[write]
+        same = (entropy.view(np.int64)[1:] == entropy.view(np.int64)[:-1]) & (
+            ratio.view(np.int64)[1:] == ratio.view(np.int64)[:-1]
+        )
+        stretch_starts = np.flatnonzero(np.append(True, ~same))
+        page_bounds = np.append(first_page[stretch_starts], len(fingerprints)).tolist()
+        page_size = self.device.page_size
+        synthetic_run = PageContent.synthetic_run
+        contents: List[PageContent] = []
+        for begin, end, stretch_entropy, stretch_ratio in zip(
+            page_bounds,
+            page_bounds[1:],
+            entropy[stretch_starts].tolist(),
+            ratio[stretch_starts].tolist(),
+        ):
+            contents += synthetic_run(
+                fingerprints[begin:end], page_size, stretch_entropy, stretch_ratio
+            )
+        return contents

@@ -1,8 +1,14 @@
 """Synthetic workload generators.
 
-Each generator produces a list of :class:`TraceRecord` for a requested
-duration.  Generators are deterministic given a seed so every experiment
-is reproducible.
+The duration-driven generators (:class:`SequentialWorkload`,
+:class:`UniformRandomWorkload`, :class:`ZipfianWorkload`,
+:class:`MixedWorkload` and :func:`profile_workload`) return a list of
+:class:`TraceRecord` covering a requested duration.
+:class:`BurstyWorkload` returns a columnar
+:class:`~repro.workloads.records.Trace` of a requested record count,
+which the batched replayer consumes without building per-record
+objects.  Every generator is deterministic given a seed, so every
+experiment is reproducible.
 """
 
 from __future__ import annotations
@@ -11,8 +17,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.sim import US_PER_SECOND
-from repro.workloads.records import TraceOp, TraceRecord
+from repro.workloads.records import OP_CODES, Trace, TraceOp, TraceRecord
 
 
 @dataclass(frozen=True)
@@ -70,10 +78,12 @@ class VolumeProfile:
 
     @property
     def daily_write_bytes(self) -> float:
+        """``daily_write_gb`` in bytes (GiB-based)."""
         return self.daily_write_gb * 1024**3
 
     @property
     def daily_write_pages(self) -> float:
+        """``daily_write_bytes`` in 4 KiB pages."""
         return self.daily_write_bytes / 4096.0
 
 
@@ -273,6 +283,8 @@ class BurstyWorkload:
             raise ValueError("write_fraction + read_fraction must be within [0, 1]")
         if burst_records[0] < 1 or burst_records[1] < burst_records[0]:
             raise ValueError("burst_records must be a (lo, hi) pair with 1 <= lo <= hi")
+        if interarrival_us[0] < 0 or interarrival_us[1] < interarrival_us[0]:
+            raise ValueError("interarrival_us must be a (lo, hi) pair with 0 <= lo <= hi")
         if not 0.0 < span_fraction <= 1.0:
             raise ValueError("span_fraction must be within (0, 1]")
         self.capacity_pages = capacity_pages
@@ -287,66 +299,71 @@ class BurstyWorkload:
         self.stream_id = stream_id
         self.rng = random.Random(seed)
 
-    def generate(self, n_records: int, start_us: int = 0) -> List[TraceRecord]:
-        """Generate exactly ``n_records`` burst-structured records."""
+    def generate(self, n_records: int, start_us: int = 0) -> Trace:
+        """Generate exactly ``n_records`` burst-structured records.
+
+        The generator draws from ``self.rng`` in a fixed order -- per
+        burst: the op roll, the burst length, the scan or discard start
+        (reads and trims only), then one inter-arrival gap per record --
+        and that order is part of the determinism contract.  The draws
+        land in plain lists and the columns are built once at the end.
+        """
         if n_records < 1:
             raise ValueError("n_records must be at least 1")
         rng = self.rng
-        records: List[TraceRecord] = []
-        timestamp = start_us
-        cursor = 0
+        randint = rng.randint
         lo, hi = self.burst_records
         gap_lo, gap_hi = self.interarrival_us
         span = self.span
         npages = self.request_pages
-        while len(records) < n_records:
+        write_fraction = self.write_fraction
+        scan_fraction = write_fraction + self.read_fraction
+        # Per burst: op code, record count, first (unwrapped) LBA.
+        codes: List[int] = []
+        counts: List[int] = []
+        bases: List[int] = []
+        gaps: List[int] = []
+        cursor = 0
+        while len(gaps) < n_records:
             roll = rng.random()
-            burst = rng.randint(lo, hi)
-            if roll < self.write_fraction:
+            burst = randint(lo, hi)
+            if roll < write_fraction:
                 # Sequential ingest burst at the write frontier.
-                for _ in range(burst):
-                    timestamp += rng.randint(gap_lo, gap_hi)
-                    records.append(
-                        TraceRecord(
-                            timestamp_us=timestamp,
-                            op=TraceOp.WRITE,
-                            lba=cursor % span,
-                            npages=npages,
-                            stream_id=self.stream_id,
-                            entropy=self.entropy,
-                            compress_ratio=self.compress_ratio,
-                        )
-                    )
-                    cursor += npages
-            elif roll < self.write_fraction + self.read_fraction:
+                code = OP_CODES[TraceOp.WRITE]
+                base = cursor
+                cursor += burst * npages
+            elif roll < scan_fraction:
                 # Sequential scan over previously written data.
-                start = rng.randrange(max(1, cursor)) % span if cursor else 0
-                for offset in range(burst):
-                    timestamp += rng.randint(gap_lo, gap_hi)
-                    records.append(
-                        TraceRecord(
-                            timestamp_us=timestamp,
-                            op=TraceOp.READ,
-                            lba=(start + offset * npages) % span,
-                            npages=npages,
-                            stream_id=self.stream_id,
-                        )
-                    )
+                code = OP_CODES[TraceOp.READ]
+                base = rng.randrange(max(1, cursor)) % span if cursor else 0
             else:
                 # Discard of a cold contiguous extent behind the frontier.
-                start = max(0, (cursor % span) - rng.randint(4 * burst, 8 * burst))
-                for offset in range(burst // 2 + 1):
-                    timestamp += rng.randint(gap_lo, gap_hi)
-                    records.append(
-                        TraceRecord(
-                            timestamp_us=timestamp,
-                            op=TraceOp.TRIM,
-                            lba=(start + offset * npages) % span,
-                            npages=npages,
-                            stream_id=self.stream_id,
-                        )
-                    )
-        return records[:n_records]
+                code = OP_CODES[TraceOp.TRIM]
+                base = max(0, (cursor % span) - randint(4 * burst, 8 * burst))
+                burst = burst // 2 + 1
+            codes.append(code)
+            counts.append(burst)
+            bases.append(base)
+            gaps.extend([randint(gap_lo, gap_hi) for _ in range(burst)])
+        # Record k of a burst sits ``k * npages`` past the burst's base.
+        per_burst = np.array(counts, dtype=np.int64)
+        offsets = np.arange(len(gaps), dtype=np.int64) - np.repeat(
+            np.cumsum(per_burst) - per_burst, per_burst
+        )
+        lbas = (np.repeat(np.array(bases, dtype=np.int64), per_burst) + offsets * npages) % span
+        stamps = start_us + np.cumsum(np.array(gaps, dtype=np.int64))
+        op = np.repeat(np.array(codes, dtype=np.int8), per_burst)[:n_records]
+        writes = op == OP_CODES[TraceOp.WRITE]
+        return Trace(
+            timestamp_us=stamps[:n_records],
+            op=op,
+            lba=lbas[:n_records],
+            npages=np.full(n_records, npages),
+            stream_id=np.full(n_records, self.stream_id),
+            # Reads and trims carry TraceRecord's default descriptors.
+            entropy=np.where(writes, self.entropy, 4.0),
+            compress_ratio=np.where(writes, self.compress_ratio, 0.5),
+        )
 
 
 class MixedWorkload:
@@ -358,6 +375,7 @@ class MixedWorkload:
         self.components = components
 
     def generate(self, duration_s: float, start_us: int = 0) -> List[TraceRecord]:
+        """Every component's trace over ``duration_s``, merged by timestamp (stable)."""
         merged: List[TraceRecord] = []
         for component in self.components:
             merged.extend(component.generate(duration_s, start_us=start_us))

@@ -2,9 +2,8 @@
 
 These tests are the locally-runnable core of the CI ``docs`` job:
 
-* every public symbol in ``repro.campaign``, ``repro.nvmeoe`` and
-  ``repro.forensics`` must carry a docstring (the mkdocs API reference
-  is generated from them);
+* every public symbol in the packages of ``DOCUMENTED_PACKAGES`` must
+  carry a docstring (the mkdocs API reference is generated from them);
 * every ``::: identifier`` mkdocstrings directive in ``docs/`` must
   resolve to a real importable object;
 * every relative link in ``docs/`` and every page in the ``mkdocs.yml``
@@ -47,6 +46,7 @@ DOCUMENTED_PACKAGES = [
     "repro.nvmeoe",
     "repro.forensics",
     "repro.scenarios",
+    "repro.workloads",
 ]
 
 

@@ -65,6 +65,26 @@ class TestPageContent:
         content = PageContent.synthetic(1, 4096, compress_ratio=0.25)
         assert content.compressed_size() == 1024
 
+    @pytest.mark.parametrize(
+        "length, entropy, ratio", [(4096, 6.5, 0.9), (512, 0.0, 1.0), (0, 8, 0.05), (1, 4.0, 1)]
+    )
+    def test_synthetic_run_equals_synthetic_per_page(self, length, entropy, ratio):
+        """Field values *and* types match the validated constructor."""
+        fingerprints = [0, 1, 2**64 - 1, 12345]
+        run = PageContent.synthetic_run(fingerprints, length, entropy, ratio)
+        expected = [PageContent.synthetic(fp, length, entropy, ratio) for fp in fingerprints]
+        assert run == expected
+        for got, want in zip(run, expected):
+            assert type(got) is PageContent
+            for name in ("fingerprint", "length", "entropy", "compress_ratio", "payload"):
+                assert type(getattr(got, name)) is type(getattr(want, name))
+        assert PageContent.synthetic_run([], length, entropy, ratio) == []
+
+    def test_synthetic_run_validates_the_shared_fields(self):
+        for length, entropy, ratio in ((-1, 4.0, 0.5), (10, 9.0, 0.5), (10, 4.0, 0.0)):
+            with pytest.raises(ValueError):
+                PageContent.synthetic_run([1], length, entropy, ratio)
+
 
 class TestFlashArray:
     @pytest.fixture
