@@ -1,20 +1,17 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index) and prints the rows it produced.  Run with
-``pytest benchmarks/ --benchmark-only -s`` to see the tables inline.
+``test_claims.py`` regenerates every result of the paper's evaluation
+from :data:`repro.analysis.claims.CLAIMS` and requires its predicates to
+hold; ``test_replay_throughput.py`` gates the batched replay path.  Run
+with ``pytest benchmarks/ -s`` to see the tables inline.  All workload
+sizes go through :mod:`repro.bench` (``SMOKE`` / ``scaled``), so
+``REPRO_SMOKE=1`` shrinks the whole suite consistently.
 
-Two cross-cutting concerns are centralised here:
-
-* **Smoke scaling.**  All workload size knobs go through
-  :mod:`repro.bench` (``SMOKE`` / ``scaled``), so ``REPRO_SMOKE=1``
-  shrinks the whole suite consistently -- no benchmark file reads the
-  environment on its own.
-* **Perf-trajectory emission.**  Benchmarks that measure throughput
-  record their numbers through the :func:`bench_record` fixture; when
-  ``REPRO_BENCH_EMIT`` is set, the session-finish hook hands the
-  recorded entries to :mod:`bench_emit`, which appends them to the
-  versioned ``BENCH_<name>.json`` files at the repository root.
+**Perf-trajectory emission.**  Benchmarks that measure throughput
+record their numbers through the :func:`bench_record` fixture; when
+``REPRO_BENCH_EMIT`` is set, the session-finish hook hands the recorded
+entries to :mod:`bench_emit`, which appends them to the versioned
+``BENCH_<name>.json`` files at the repository root.
 """
 
 import os
@@ -22,35 +19,8 @@ import sys
 
 import pytest
 
-from repro.bench import SMOKE, scaled  # noqa: F401  (re-exported for benchmarks)
-
 #: Results recorded by benchmark tests this session: name -> entry dict.
 _RECORDED = {}
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run ``func`` exactly once under pytest-benchmark timing.
-
-    The experiments are macro-benchmarks (whole simulated scenarios), so a
-    single timed round is representative and keeps the suite fast.
-    """
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-@pytest.fixture
-def once(benchmark):
-    """Fixture form of :func:`run_once`."""
-
-    def runner(func, *args, **kwargs):
-        return run_once(benchmark, func, *args, **kwargs)
-
-    return runner
-
-
-@pytest.fixture
-def smoke():
-    """Whether the suite is running in reduced smoke mode."""
-    return SMOKE
 
 
 @pytest.fixture

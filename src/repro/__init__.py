@@ -21,8 +21,9 @@ Hardware-Isolated Network-Storage Codesign and Post-Attack Analysis*
   conservative retention, hardware-assisted logging, enhanced trim,
   NVMe-oE offloading, zero-data-loss recovery and trusted post-attack
   analysis.
-* ``repro.analysis`` -- experiment harnesses used by the benchmark
-  suite to regenerate the paper's tables and figures.
+* ``repro.analysis`` -- experiment harnesses and the claims registry
+  (``repro claims``) that regenerates the paper's tables and figures
+  and checks the paper's claims about them.
 * ``repro.api`` -- the stable public facade: declarative
   ``ScenarioSpec``, the ``Session`` lifecycle, the typed ``EventBus``,
   and the ``run_campaign`` / ``run_roc`` / ``run_fleet`` entry points.

@@ -1,10 +1,12 @@
-"""Experiment harnesses and reporting.
+"""Experiment harnesses, the claims registry and reporting.
 
 Each function in :mod:`repro.analysis.experiments` regenerates one of
-the paper's tables/figures (or an ablation of a design choice); the
-benchmark suite under ``benchmarks/`` is a thin wrapper that calls
-these and prints the resulting rows.  :mod:`repro.analysis.retention`
-holds the analytic retention-time model behind Figure 2.
+the paper's results.  :mod:`repro.analysis.claims` is the one table of
+the paper's evaluation: every row (Table 1, Figure 2, P1-P4, A1-A3)
+holds the experiment call, the paper's predicates and a renderer, and
+drives both ``repro claims`` and ``benchmarks/test_claims.py``.
+:mod:`repro.analysis.retention` holds the analytic retention-time model
+behind Figure 2.
 """
 
 from repro.analysis.retention import (

@@ -1,9 +1,10 @@
-"""Experiment harnesses: one function per table or figure.
+"""Experiment harnesses: one function per result of the paper's evaluation.
 
-The benchmark suite under ``benchmarks/`` calls these functions and
-prints/validates their results; the unit tests exercise them at reduced
-scale.  Keeping the logic here means a user can also run any experiment
-directly from a Python shell or an example script.
+:mod:`repro.analysis.claims` calls these functions, sizes them, checks
+the paper's predicates on their rows and renders them (``repro
+claims``); Table 1 and Figure 2 come from the campaign engine and the
+retention model instead.  Keeping the logic here means a user can also
+run any experiment directly from a Python shell or an example script.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.retention import (
-    FigureTwoRow,
-    RetentionScenario,
-    figure2_rows,
-    lookup_volume,
-)
+from repro.analysis.retention import lookup_volume
 from repro.analysis.stats import relative_overhead
 from repro.attacks.base import AttackOutcome
 from repro.attacks.classic import ClassicRansomware, DestructionMode
@@ -25,7 +21,6 @@ from repro.attacks.timing_attack import TimingAttack
 from repro.attacks.trimming_attack import TrimmingAttack
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
-from repro.defenses.matrix import CapabilityMatrix, MatrixRow, default_defense_factories
 from repro.forensics.engine import ForensicsEngine
 from repro.ssd.device import SSD
 from repro.ssd.geometry import SSDGeometry
@@ -35,36 +30,8 @@ from repro.workloads.synthetic import ZipfianWorkload, profile_workload
 
 
 # ---------------------------------------------------------------------------
-# T1: capability matrix (Table 1)
+# F2: the retention model's key input
 # ---------------------------------------------------------------------------
-
-def run_capability_matrix(
-    geometry: Optional[SSDGeometry] = None,
-    defense_names: Optional[List[str]] = None,
-    victim_files: int = 24,
-) -> List[MatrixRow]:
-    """Run the Table-1 capability matrix for the requested defenses."""
-    matrix = CapabilityMatrix(geometry=geometry, victim_files=victim_files)
-    factories = default_defense_factories()
-    if defense_names is not None:
-        unknown = set(defense_names) - set(factories)
-        if unknown:
-            raise KeyError(f"unknown defenses requested: {sorted(unknown)}")
-        factories = {name: factories[name] for name in defense_names}
-    return matrix.run(defense_factories=factories)
-
-
-# ---------------------------------------------------------------------------
-# F2: retention time (Figure 2)
-# ---------------------------------------------------------------------------
-
-def run_retention_experiment(
-    volumes: Optional[List[str]] = None,
-    scenario: Optional[RetentionScenario] = None,
-) -> List[FigureTwoRow]:
-    """Compute Figure 2's retention times for every requested volume."""
-    return figure2_rows(volumes=volumes, scenario=scenario)
-
 
 def measure_stale_production(
     volume: str,

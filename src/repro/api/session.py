@@ -1,7 +1,6 @@
 """Session: the lifecycle object that executes one scenario.
 
-A :class:`Session` takes a :class:`~repro.api.spec.ScenarioSpec` (or
-explicit factory overrides, for callers outside the registries) through
+A :class:`Session` takes a :class:`~repro.api.spec.ScenarioSpec` through
 the canonical lifecycle::
 
     session = Session(spec)
@@ -29,7 +28,7 @@ is just another subscriber.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -97,15 +96,15 @@ class SessionResult:
     def to_cell_result(self) -> "CellResult":
         """Reduce to a picklable campaign :class:`~repro.campaign.results.CellResult`.
 
-        Requires a session built from a :class:`ScenarioSpec` (the cell
-        identity -- names and seeds -- comes from it).
+        Requires a session that ran its :class:`ScenarioSpec` as written
+        (the cell identity -- names and seeds -- comes from it).
         """
         from repro.campaign.results import CellResult
 
         if self.spec is None:
             raise ValueError(
-                "this result was produced from explicit factory overrides, "
-                "not a (faithful) ScenarioSpec; cell results need the spec's "
+                "this result was produced with a workload or geometry override "
+                "its ScenarioSpec cannot express; cell results need the spec's "
                 "names and seeds to reproduce the run"
             )
         outcome = self.attack_outcome
@@ -269,13 +268,14 @@ class _BusForwarder:
 class Session:
     """One scenario's lifecycle: ``provision() -> run() -> result``.
 
-    Built either from a validated :class:`~repro.api.spec.ScenarioSpec`
-    (names resolved through the campaign registries) or from explicit
-    factory overrides for consumers outside the registries (the
-    capability matrix's historical fixed-seed path uses overrides).
-    Overrides win over the spec field by field, so a spec can be
-    partially overridden -- e.g. the same named scenario on a custom
-    geometry.
+    Built from a validated :class:`~repro.api.spec.ScenarioSpec`, whose
+    names resolve through the campaign registries.  Two overrides run
+    something the spec cannot name: ``workload`` (a pre-attack workload
+    callable, used by compound scenarios) and ``geometry`` (a custom
+    device, used by the targeted ablation experiments).  Either one
+    clears :attr:`SessionResult.spec`, so such a result never claims
+    the spec reproduces it; to change a named field, ``replace`` the
+    spec instead.
 
     ``observers`` is the legacy passive-observer hook; each observer is
     subscribed to the session's bus and fed the raw host-op stream,
@@ -284,82 +284,20 @@ class Session:
 
     def __init__(
         self,
-        spec: Optional[ScenarioSpec] = None,
+        spec: ScenarioSpec,
         *,
         bus: Optional[EventBus] = None,
-        defense_factory: Optional[Callable[[SSDGeometry, SimClock], Defense]] = None,
-        attack_factory: Optional[Callable[[], object]] = None,
         workload: Optional[
             Callable[[AttackEnvironment, random.Random, float, float], None]
         ] = None,
         geometry: Optional[SSDGeometry] = None,
-        victim_files: Optional[int] = None,
-        file_size_bytes: Optional[int] = None,
-        user_activity_hours: Optional[float] = None,
-        recent_edit_fraction: Optional[float] = None,
-        env_seed: Optional[int] = None,
-        workload_rng: Optional[random.Random] = None,
         observers: Sequence[object] = (),
     ) -> None:
-        if spec is None:
-            required = {
-                "defense_factory": defense_factory,
-                "attack_factory": attack_factory,
-                "workload": workload,
-                "geometry": geometry,
-                "victim_files": victim_files,
-                "file_size_bytes": file_size_bytes,
-                "user_activity_hours": user_activity_hours,
-                "recent_edit_fraction": recent_edit_fraction,
-                "env_seed": env_seed,
-                "workload_rng": workload_rng,
-            }
-            missing = [name for name, value in required.items() if value is None]
-            if missing:
-                raise ValueError(
-                    "a Session needs either a ScenarioSpec or explicit "
-                    f"overrides; missing: {missing}"
-                )
-        self._spec_faithful = spec is not None
-        if spec is not None:
-            # Fold spec-representable overrides back into the spec, so the
-            # result's provenance (to_cell_result / to_dict) records what
-            # actually ran, not what the original spec said.
-            representable = {
-                name: value
-                for name, value in (
-                    ("victim_files", victim_files),
-                    ("file_size_bytes", file_size_bytes),
-                    ("user_activity_hours", user_activity_hours),
-                    ("recent_edit_fraction", recent_edit_fraction),
-                    ("env_seed", env_seed),
-                )
-                if value is not None
-            }
-            if representable:
-                spec = replace(spec, **representable)
-            # Factory/geometry/rng overrides cannot be expressed as spec
-            # fields; a result produced with them must not claim the
-            # spec reproduces it.
-            if any(
-                override is not None
-                for override in (
-                    defense_factory, attack_factory, workload, geometry, workload_rng
-                )
-            ):
-                self._spec_faithful = False
         self.spec = spec
         self.bus = bus if bus is not None else EventBus()
-        self._defense_factory = defense_factory
-        self._attack_factory = attack_factory
         self._workload = workload
         self._geometry = geometry
-        self._victim_files = victim_files
-        self._file_size_bytes = file_size_bytes
-        self._user_activity_hours = user_activity_hours
-        self._recent_edit_fraction = recent_edit_fraction
-        self._env_seed = env_seed
-        self._workload_rng = workload_rng
+        self._spec_faithful = workload is None and geometry is None
         self._observers = tuple(observers)
 
         self.clock: Optional[SimClock] = None
@@ -395,26 +333,22 @@ class Session:
 
         if self.provisioned:
             raise RuntimeError("session already provisioned")
+        spec = self.spec
         self.clock = SimClock()
         geometry = self._geometry
         if geometry is None:
-            assert self.spec is not None
-            geometry = registries.DEVICE_CONFIGS[self.spec.device]()
-        defense_factory = self._defense_factory
-        if defense_factory is None:
-            assert self.spec is not None
-            defense_factory = registries.DEFENSES[self.spec.defense]
-        self.defense = defense_factory(geometry, self.clock)
-        if self.spec is not None and self.spec.ablation:
+            geometry = registries.DEVICE_CONFIGS[spec.device]()
+        self.defense = registries.DEFENSES[spec.defense](geometry, self.clock)
+        if spec.ablation:
             from repro.ablation.registry import apply_ablation
 
-            apply_ablation(self.defense, self.spec.ablation)
+            apply_ablation(self.defense, spec.ablation)
         self._wire_bus(self.defense)
         self.env = provision_environment(
             self.defense.device,
-            victim_files=self._resolved("victim_files", self._victim_files),
-            file_size_bytes=self._resolved("file_size_bytes", self._file_size_bytes),
-            seed=self._resolved_env_seed(),
+            victim_files=spec.victim_files,
+            file_size_bytes=spec.file_size_bytes,
+            seed=spec.resolved_env_seed,
         )
         return self
 
@@ -438,26 +372,15 @@ class Session:
 
         workload = self._workload
         if workload is None:
-            assert spec is not None
             workload = registries.WORKLOADS[spec.workload]
-        workload_rng = self._workload_rng
-        if workload_rng is None:
-            assert spec is not None
-            workload_rng = random.Random(spec.resolved_workload_seed)
         workload(
             env,
-            workload_rng,
-            self._resolved("user_activity_hours", self._user_activity_hours),
-            self._resolved("recent_edit_fraction", self._recent_edit_fraction),
+            random.Random(spec.resolved_workload_seed),
+            spec.user_activity_hours,
+            spec.recent_edit_fraction,
         )
 
-        attack_factory = self._attack_factory
-        if attack_factory is None:
-            assert spec is not None
-            attack_factory = lambda: registries.ATTACKS[spec.attack](
-                spec.resolved_attack_seed
-            )
-        attack = attack_factory()
+        attack = registries.ATTACKS[spec.attack](spec.resolved_attack_seed)
         compromised = False
         if getattr(attack, "aggressive", False):
             compromised = defense.compromise()
@@ -566,19 +489,6 @@ class Session:
         return self._forensics_cache
 
     # -- internals ---------------------------------------------------------
-
-    def _resolved(self, name: str, override: Optional[object]) -> object:
-        """An override if given, else the spec's field of the same name."""
-        if override is not None:
-            return override
-        assert self.spec is not None
-        return getattr(self.spec, name)
-
-    def _resolved_env_seed(self) -> int:
-        if self._env_seed is not None:
-            return self._env_seed
-        assert self.spec is not None
-        return self.spec.resolved_env_seed
 
     def _wire_bus(self, defense: Defense) -> None:
         """Attach every tap the scenario's device exposes to the bus.

@@ -1,12 +1,14 @@
-"""Benchmark size scaling shared by the suite and the emit pipeline.
+"""Benchmark size scaling shared by the suite, the claims and the emit pipeline.
 
-Every file under ``benchmarks/`` sizes its workload through this module
-so that ``REPRO_SMOKE=1`` (set by CI on shared runners) shrinks the
-whole suite consistently instead of each file re-reading the
-environment with its own convention.  The module lives in the package
-rather than in ``benchmarks/conftest.py`` because the standalone
-``benchmarks/bench_emit.py`` emitter and ad-hoc profiling scripts need
-the same flag without pytest's conftest import machinery.
+Every file under ``benchmarks/`` and every row of
+:mod:`repro.analysis.claims` sizes its workload through this module so
+that ``REPRO_SMOKE=1`` (set by CI on shared runners) shrinks the whole
+suite consistently instead of each caller re-reading the environment
+with its own convention.  The module lives in the package rather than
+in ``benchmarks/conftest.py`` because the claims registry, the
+standalone ``benchmarks/bench_emit.py`` emitter and ad-hoc profiling
+scripts need the same flag without pytest's conftest import machinery.
+Standard library only, so every layer may import it.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ same :class:`~repro.campaign.results.CellResult` records regardless of
 backend or execution order, and the whole run serializes to a versioned
 JSON artifact that the golden-run regression suite pins bit-for-bit.
 
-The capability matrix (``repro.defenses.matrix``) and the fleet runner
-(``repro.workloads.fleet``) are thin facades over this package.
+Table 1 (``repro claims --only T1``) is the default grid, and the
+fleet runner (``repro.workloads.fleet``) is a thin facade over this
+package.
 
 Long and repeated sweeps ride an opt-in persistence layer
 (:mod:`repro.campaign.cache` and :mod:`repro.campaign.checkpoint`): a

@@ -20,7 +20,7 @@ Crash realities the loader handles:
   :class:`CheckpointError` instead of silently resuming the wrong run.
 
 :class:`CrashAfterNCells` is the fault-injection hook the resume test
-harness (and the CI ``resume-smoke`` job, via
+harness (and the CI ``smoke`` job's resume step, via
 ``REPRO_CRASH_AFTER_CELLS``) uses to kill a sweep at an exact cell
 boundary.  Standard library only, like the runner and the cache.
 """
@@ -88,7 +88,7 @@ def crash_hook_from_env() -> Optional[CrashAfterNCells]:
     """The CLI's fault hook: ``REPRO_CRASH_AFTER_CELLS=N`` arms a hard exit.
 
     Returns ``None`` when the variable is unset or empty, so production
-    runs pay nothing; the CI ``resume-smoke`` job and the subprocess
+    runs pay nothing; the CI ``smoke`` job's resume step and the subprocess
     kill tests set it to die at a deterministic cell boundary.
     """
     raw = os.environ.get("REPRO_CRASH_AFTER_CELLS", "").strip()

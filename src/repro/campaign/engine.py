@@ -1,13 +1,11 @@
 """Campaign execution: thin cell-level wrappers over the scenario facade.
 
 Scenario execution lives in :mod:`repro.api.session`; this module maps
-campaign cells onto it.  ``execute_scenario`` runs one scenario from
-live factories (the capability matrix's historical fixed-seed path),
-``execute_cell_scenario`` turns a picklable :class:`CellSpec` into a
-``ScenarioSpec`` + :class:`~repro.api.session.Session`, ``run_cell``
-reduces the outcome to a :class:`~repro.campaign.results.CellResult`,
-and ``run_campaign`` maps cells through the
-:class:`~repro.campaign.runner.ExperimentRunner`.
+campaign cells onto it.  ``execute_cell_scenario`` turns a picklable
+:class:`CellSpec` into a ``ScenarioSpec`` +
+:class:`~repro.api.session.Session`, ``run_cell`` reduces the outcome
+to a :class:`~repro.campaign.results.CellResult`, and ``run_campaign``
+maps cells through the :class:`~repro.campaign.runner.ExperimentRunner`.
 
 The :mod:`repro.api` imports are deliberately function-level: the api
 package imports campaign registries and results at module level, so the
@@ -16,7 +14,6 @@ campaign package must not import it back while initializing.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.campaign.grid import CampaignGrid, CellSpec
@@ -27,67 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.campaign.checkpoint import CheckpointJournal
 from repro.campaign.results import CampaignArtifact, CellResult
 from repro.campaign.runner import ExperimentRunner
-from repro.defenses.base import Defense
-from repro.sim import SimClock
-from repro.ssd.geometry import SSDGeometry
-
-#: Names forwarded lazily from :mod:`repro.api.session` (they moved
-#: there when the facade became the implementation layer).
-_API_ALIASES = {
-    "ScenarioOutcome": "SessionResult",
-    "SessionResult": "SessionResult",
-    "score_recovery": "score_recovery",
-    "score_forensics": "score_forensics",
-}
-
-
-def __getattr__(name: str) -> object:
-    """Forward the moved scenario-scoring names to :mod:`repro.api.session`."""
-    if name in _API_ALIASES:
-        from repro.api import session as api_session
-
-        return getattr(api_session, _API_ALIASES[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def execute_scenario(
-    defense_factory: Callable[[SSDGeometry, SimClock], Defense],
-    attack_factory: Callable[[], object],
-    workload: Callable[..., None],
-    geometry: SSDGeometry,
-    victim_files: int,
-    file_size_bytes: int,
-    env_seed: int,
-    workload_rng: random.Random,
-    user_activity_hours: float,
-    recent_edit_fraction: float,
-    observers: Optional[Sequence[object]] = None,
-) -> "SessionResult":
-    """Run one (defense, attack, workload) scenario from live factories.
-
-    A thin wrapper that builds a :class:`~repro.api.session.Session`
-    from explicit overrides -- the path for callers outside the
-    registries, such as the capability matrix with its historical fixed
-    seeds.  ``observers`` are passive ``IOObserver`` objects subscribed
-    to the session's bus; they must not perturb the scenario.  Returns
-    the session's :class:`~repro.api.session.SessionResult`.
-    """
-    from repro.api.session import Session
-
-    session = Session(
-        defense_factory=defense_factory,
-        attack_factory=attack_factory,
-        workload=workload,
-        geometry=geometry,
-        victim_files=victim_files,
-        file_size_bytes=file_size_bytes,
-        user_activity_hours=user_activity_hours,
-        recent_edit_fraction=recent_edit_fraction,
-        env_seed=env_seed,
-        workload_rng=workload_rng,
-        observers=observers or (),
-    )
-    return session.run()
 
 
 def execute_cell_scenario(

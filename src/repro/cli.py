@@ -4,22 +4,19 @@ Examples::
 
     python -m repro run --spec scenario.json
     python -m repro run --defense RSSD --attack trimming-attack
-    python -m repro table1 --defenses RSSD FlashGuard LocalSSD
-    python -m repro figure2
-    python -m repro overhead
-    python -m repro lifetime --volumes hm src
-    python -m repro recovery
-    python -m repro forensics
+    python -m repro claims
+    python -m repro claims --only T1 A2
+    python -m repro campaign --grid tiny
     python -m repro roc --grid tiny
     python -m repro ablate --features enhanced-trim remote-offload
-    python -m repro ablation-offload
-    python -m repro ablation-trim
-    python -m repro ablation-detection
 
 ``repro run`` is the universal entry point: one scenario, described by
 a :class:`repro.api.ScenarioSpec` (from a JSON file or flags), executed
 through a :class:`repro.api.Session`.  The campaign / roc / fleet
 subcommands are grid- and fleet-level conveniences over the same path.
+``repro claims`` regenerates the paper's evaluation -- Table 1, Figure
+2, P1-P4 and the A1-A3 ablations -- from the one table in
+:mod:`repro.analysis.claims`, and checks every claim's predicates.
 """
 
 from __future__ import annotations
@@ -30,98 +27,27 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import __version__
-from repro.analysis import experiments as ex
-from repro.analysis.figures import render_figure2
+from repro.analysis import claims
 from repro.analysis.reporting import format_table
-from repro.defenses.matrix import CapabilityMatrix
 
 
-def _cmd_table1(args: argparse.Namespace) -> str:
-    rows = ex.run_capability_matrix(defense_names=args.defenses)
-    return CapabilityMatrix.format_table(rows)
-
-
-def _cmd_figure2(args: argparse.Namespace) -> str:
-    rows = ex.run_retention_experiment(volumes=args.volumes)
-    if args.bars:
-        return render_figure2(rows)
-    return format_table(
-        ["volume", "LocalSSD (days)", "LocalSSD+Compr (days)", "RSSD (days)"],
-        [[r.volume, r.local_days, r.local_compressed_days, r.rssd_days] for r in rows],
-    )
-
-
-def _cmd_overhead(args: argparse.Namespace) -> str:
-    rows = ex.run_performance_overhead(duration_s=args.duration)
-    return format_table(
-        ["job", "write overhead %", "read overhead %"],
-        [[r.job, r.write_overhead * 100, r.read_overhead * 100] for r in rows],
-    )
-
-
-def _cmd_lifetime(args: argparse.Namespace) -> str:
-    rows = ex.run_lifetime_experiment(volumes=args.volumes)
-    return format_table(
-        ["volume", "baseline WAF", "RSSD WAF", "WAF overhead %", "erase overhead %"],
-        [
-            [r.volume, r.baseline_waf, r.rssd_waf, r.waf_overhead * 100, r.erase_overhead * 100]
-            for r in rows
-        ],
-    )
-
-
-def _cmd_recovery(args: argparse.Namespace) -> str:
-    rows = ex.run_recovery_experiment()
-    return format_table(
-        ["attack", "victim pages", "restored", "unrecoverable", "files ok", "recovery s"],
-        [
-            [r.attack, r.victim_pages, r.pages_restored, r.pages_unrecoverable,
-             f"{r.files_fully_recovered}/{r.files_total}", r.recovery_seconds]
-            for r in rows
-        ],
-    )
-
-
-def _cmd_forensics(args: argparse.Namespace) -> str:
-    rows = ex.run_forensics_experiment()
-    return format_table(
-        ["background ops", "log entries", "verified", "attacker found", "reconstruction s"],
-        [
-            [r.background_ops, r.log_entries, r.chain_verified, r.attacker_identified,
-             r.reconstruction_seconds]
-            for r in rows
-        ],
-    )
-
-
-def _cmd_ablation_offload(args: argparse.Namespace) -> str:
-    from repro.ablation import run_offload_ablation
-
-    rows = run_offload_ablation(volumes=args.volumes)
-    return format_table(
-        ["volume", "pages offloaded", "compression ratio", "wire MB"],
-        [[r.volume, r.pages_offloaded, r.compression_ratio, r.wire_mb] for r in rows],
-    )
-
-
-def _cmd_ablation_trim(args: argparse.Namespace) -> str:
-    from repro.ablation import run_trim_ablation
-
-    rows = run_trim_ablation()
-    return format_table(
-        ["mode", "pages trimmed", "recovered fraction", "trim rejected"],
-        [[r.mode, r.pages_trimmed, r.recovered_fraction, r.trim_rejected] for r in rows],
-    )
-
-
-def _cmd_ablation_detection(args: argparse.Namespace) -> str:
-    from repro.ablation import run_detection_ablation
-
-    rows = run_detection_ablation()
-    return format_table(
-        ["attack", "local detected", "remote detected", "attacker identified"],
-        [[r.attack, r.local_detected, r.remote_detected, r.remote_identified_attacker] for r in rows],
-    )
+def _cmd_claims(args: argparse.Namespace) -> str:
+    """Run, print and check the selected claims; exit 1 if any fails."""
+    selected = [
+        claim for claim in claims.CLAIMS if not args.only or claim.id in args.only
+    ]
+    failed = []
+    for claim in selected:
+        result = claim.run()
+        failures = claim.check(result)
+        verdict = "\n".join(f"FAIL: {predicate}" for predicate in failures) or "PASS"
+        print(f"[{claim.id}] {claim.title}\n{claim.render(result)}\n{verdict}\n", flush=True)
+        if failures:
+            failed.append(claim.id)
+    if failed:
+        print(f"{len(failed)} of {len(selected)} claims failed: {', '.join(failed)}")
+        raise SystemExit(1)
+    return f"all {len(selected)} claims hold"
 
 
 def _grid_with_overrides(grid, pairs) -> object:
@@ -179,7 +105,7 @@ def _persistence_from_args(args):
     only the cells it is missing; ``--no-cache`` keeps the journal but
     skips cache lookups and stores.  ``REPRO_CRASH_AFTER_CELLS=N`` arms
     the fault-injection hook that hard-exits after the N-th executed
-    cell (the kill/resume test harness and CI ``resume-smoke`` job).
+    cell (the kill/resume test harness and the CI ``smoke`` job).
     """
     import os
 
@@ -1123,40 +1049,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.set_defaults(func=_cmd_fuzz)
 
-    table1 = subparsers.add_parser("table1", help="Table 1: defense capability matrix")
-    table1.add_argument("--defenses", nargs="*", default=None, help="subset of defense names")
-    table1.set_defaults(func=_cmd_table1)
-
-    figure2 = subparsers.add_parser("figure2", help="Figure 2: retention time per volume")
-    figure2.add_argument("--volumes", nargs="*", default=None)
-    figure2.add_argument("--bars", action="store_true", help="render ASCII bars instead of a table")
-    figure2.set_defaults(func=_cmd_figure2)
-
-    overhead = subparsers.add_parser("overhead", help="P1: storage performance overhead")
-    overhead.add_argument("--duration", type=float, default=0.5, help="seconds of benchmark workload")
-    overhead.set_defaults(func=_cmd_overhead)
-
-    lifetime = subparsers.add_parser("lifetime", help="P2: device lifetime impact")
-    lifetime.add_argument("--volumes", nargs="*", default=None)
-    lifetime.set_defaults(func=_cmd_lifetime)
-
-    recovery = subparsers.add_parser("recovery", help="P3: recovery after every attack")
-    recovery.set_defaults(func=_cmd_recovery)
-
-    forensics = subparsers.add_parser("forensics", help="P4: evidence-chain construction")
-    forensics.set_defaults(func=_cmd_forensics)
-
-    ablation_offload = subparsers.add_parser("ablation-offload", help="A1: offload path ablation")
-    ablation_offload.add_argument("--volumes", nargs="*", default=None)
-    ablation_offload.set_defaults(func=_cmd_ablation_offload)
-
-    ablation_trim = subparsers.add_parser("ablation-trim", help="A2: enhanced trim ablation")
-    ablation_trim.set_defaults(func=_cmd_ablation_trim)
-
-    ablation_detection = subparsers.add_parser(
-        "ablation-detection", help="A3: local vs offloaded detection"
+    claims_parser = subparsers.add_parser(
+        "claims",
+        help="Regenerate and check the paper's evaluation (Table 1, Figure 2, P1-P4, A1-A3)",
+        description=(
+            "Run each claim of the paper's evaluation, print its table and "
+            "PASS or one FAIL line per failed predicate; exit 1 if any claim "
+            "fails.  REPRO_SMOKE=1 runs every claim at its smoke size."
+        ),
     )
-    ablation_detection.set_defaults(func=_cmd_ablation_detection)
+    claims_parser.add_argument(
+        "--only", nargs="+", metavar="ID",
+        choices=[claim.id for claim in claims.CLAIMS],
+        help="claims to run, in table order (default: all)",
+    )
+    claims_parser.set_defaults(func=_cmd_claims)
 
     ablate = subparsers.add_parser(
         "ablate",

@@ -13,7 +13,7 @@ capability matrix compares *policies*, not simulators:
   retain data selectively and for a bounded time, which the three new
   attacks exploit.
 * :mod:`repro.defenses.rssd_adapter` exposes the full RSSD device
-  through the same defense interface so the matrix can score it in the
+  through the same defense interface so a campaign can score it in the
   same run.
 """
 
@@ -24,13 +24,7 @@ from repro.defenses.base import (
     SoftwareDefense,
 )
 from repro.defenses.flashguard import FlashGuardDefense
-from repro.defenses.matrix import (
-    CapabilityCell,
-    CapabilityMatrix,
-    MatrixRow,
-    default_defense_factories,
-    recovery_grade,
-)
+from repro.defenses.matrix import recovery_grade
 from repro.defenses.rblocker import RBlockerDefense
 from repro.defenses.rssd_adapter import RSSDDefense
 from repro.defenses.software import (
@@ -45,15 +39,12 @@ from repro.defenses.timessd import TimeSSDDefense
 from repro.defenses.unprotected import UnprotectedSSD
 
 __all__ = [
-    "CapabilityCell",
-    "CapabilityMatrix",
     "CloudBackupDefense",
     "CryptoDropDefense",
     "Defense",
     "FlashGuardDefense",
     "HardwareDefense",
     "JournalingFSDefense",
-    "MatrixRow",
     "RBlockerDefense",
     "RSSDDefense",
     "SSDInsiderDefense",
@@ -63,6 +54,5 @@ __all__ = [
     "TimeSSDDefense",
     "UnprotectedSSD",
     "UnveilDefense",
-    "default_defense_factories",
     "recovery_grade",
 ]

@@ -85,7 +85,9 @@ class TraceReplayer:
         result = ReplayResult()
         before_read = self.device.metrics.latency["read"].total_us
         before_write = self.device.metrics.latency["write"].total_us
-        for record in records:
+        for index, record in enumerate(records):
+            if not isinstance(record.op, TraceOp):
+                raise ValueError(f"trace record {index}: op {record.op!r} is not a TraceOp")
             if self.honor_timestamps:
                 self.device.clock.advance_to(record.timestamp_us)
             self._apply(record, result)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.api import (
@@ -161,10 +159,6 @@ class TestSessionLifecycle:
         with pytest.raises(RuntimeError, match="already provisioned"):
             session.provision()
 
-    def test_explicit_overrides_require_all_pieces(self):
-        with pytest.raises(ValueError, match="missing"):
-            Session()  # neither spec nor overrides
-
     def test_views_require_the_right_phase(self):
         session = Session(tiny_spec())
         with pytest.raises(RuntimeError, match="not provisioned"):
@@ -189,23 +183,11 @@ class TestSessionLifecycle:
             "remote-offloaded",
         }
 
-    def test_spec_overrides_are_recorded_in_the_result_provenance(self):
-        """to_cell_result reports the seeds/sizes that actually ran."""
-        session = Session(tiny_spec(defense="LocalSSD"), env_seed=999, victim_files=4)
-        cell = session.run().to_cell_result()
-        assert cell.env_seed == 999
-        assert session.result.spec.victim_files == 4
-
-    def test_factory_overrides_break_spec_provenance(self):
-        from repro.campaign import registries
-
-        session = Session(
-            tiny_spec(defense="LocalSSD"),
-            attack_factory=lambda: registries.ATTACKS["classic"](3),
-        )
+    def test_geometry_override_breaks_spec_provenance(self):
+        session = Session(tiny_spec(defense="LocalSSD"), geometry=SSDGeometry.tiny())
         result = session.run()
         assert result.spec is None
-        with pytest.raises(ValueError, match="factory overrides"):
+        with pytest.raises(ValueError, match="geometry override"):
             result.to_cell_result()
 
     def test_detection_time_and_latency_agree(self):
@@ -293,20 +275,7 @@ class TestFacadeEngineEquivalence:
             assert facade_result.to_dict() == engine_result.to_dict()
 
     def test_to_cell_result_requires_a_spec(self):
-        from repro.campaign import registries
-
-        session = Session(
-            defense_factory=registries.DEFENSES["LocalSSD"],
-            attack_factory=lambda: registries.ATTACKS["classic"](3),
-            workload=registries.WORKLOADS["office-edit"],
-            geometry=SSDGeometry.tiny(),
-            victim_files=4,
-            file_size_bytes=8192,
-            user_activity_hours=1.0,
-            recent_edit_fraction=0.3,
-            env_seed=5,
-            workload_rng=random.Random(6),
-        )
+        session = Session(tiny_spec(), geometry=SSDGeometry.tiny())
         result = session.run()
         with pytest.raises(ValueError, match="ScenarioSpec"):
             result.to_cell_result()

@@ -274,27 +274,3 @@ class TestScenarioSemantics:
         (cell,) = artifact.cells
         assert cell.workload == "idle"
         assert cell.victim_pages > 0
-
-
-@pytest.mark.slow
-def test_full_default_grid_matches_matrix_shape():
-    """The full Table-1 grid through the engine, in parallel.
-
-    Nightly-scale check: the campaign engine's parallel run must agree
-    with the capability matrix's qualitative shape (the same assertions
-    the paper's Table 1 makes).
-    """
-    artifact = run_campaign(CampaignGrid(), backend="thread", jobs=2)
-    assert len(artifact.cells) == 11 * 4
-
-    def fraction(defense, attack):
-        return artifact.cell(f"{defense}/{attack}/office-edit/tiny").recovery_fraction
-
-    for attack in ("gc-attack", "timing-attack", "trimming-attack"):
-        assert fraction("RSSD", attack) >= 0.99
-        assert fraction("LocalSSD", attack) < 0.05
-    for defense in ("FlashGuard", "TimeSSD"):
-        assert fraction(defense, "gc-attack") >= 0.99
-        assert fraction(defense, "timing-attack") < 0.99
-        assert fraction(defense, "trimming-attack") < 0.99
-    assert fraction("CloudBackup", "timing-attack") >= 0.5

@@ -1,9 +1,12 @@
 """Tests for the command-line interface and ASCII figure rendering."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis import claims
 from repro.analysis.figures import render_bars, render_figure2
-from repro.analysis.retention import FigureTwoRow, figure2_rows
+from repro.analysis.retention import figure2_rows
 from repro.cli import build_parser, main
 
 
@@ -36,43 +39,40 @@ class TestRenderBars:
 
 
 class TestCLI:
-    def test_parser_knows_every_experiment(self):
-        parser = build_parser()
-        for command in (
-            "table1",
-            "figure2",
-            "overhead",
-            "lifetime",
-            "recovery",
-            "forensics",
-            "ablation-offload",
-            "ablation-trim",
-            "ablation-detection",
-        ):
-            args = parser.parse_args([command])
-            assert callable(args.func)
-
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_figure2_command_prints_table(self, capsys):
-        assert main(["figure2", "--volumes", "hm", "src"]) == 0
-        output = capsys.readouterr().out
-        assert "hm" in output and "src" in output
-        assert "RSSD" in output
+    def test_claims_accepts_every_registered_id(self):
+        ids = [claim.id for claim in claims.CLAIMS]
+        args = build_parser().parse_args(["claims", "--only", *ids])
+        assert args.only == ids
 
-    def test_figure2_bars_mode(self, capsys):
-        assert main(["figure2", "--volumes", "hm", "--bars"]) == 0
-        assert "#" in capsys.readouterr().out
+    def test_claims_rejects_an_unknown_id_listing_the_known_ones(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["claims", "--only", "T9"])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err
+        for claim in claims.CLAIMS:
+            assert f"'{claim.id}'" in message
 
-    def test_table1_subset_command(self, capsys):
-        assert main(["table1", "--defenses", "LocalSSD", "RSSD"]) == 0
+    def test_a_failing_predicate_exits_1_and_names_it(self, monkeypatch, capsys):
+        figure2 = next(claim for claim in claims.CLAIMS if claim.id == "F2")
+        failing = dataclasses.replace(
+            figure2, run=list, check=lambda rows: ["every volume retains forever"]
+        )
+        monkeypatch.setattr(
+            claims, "CLAIMS", tuple(failing if c.id == failing.id else c for c in claims.CLAIMS)
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["claims", "--only", failing.id])
+        assert exit_info.value.code == 1
         output = capsys.readouterr().out
-        assert "RSSD" in output and "LocalSSD" in output
-        assert "Forensics" in output
+        assert f"[{failing.id}]" in output
+        assert "FAIL: every volume retains forever" in output
 
-    def test_ablation_trim_command(self, capsys):
-        assert main(["ablation-trim"]) == 0
+    def test_claims_prints_the_trim_ablation(self, capsys):
+        assert main(["claims", "--only", "A2"]) == 0
         output = capsys.readouterr().out
+        assert "[A2]" in output and "PASS" in output
         assert "enhanced" in output and "naive" in output

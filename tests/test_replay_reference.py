@@ -28,7 +28,7 @@ from repro.ssd.device import SSD
 from repro.ssd.flash import PageContent
 from repro.ssd.geometry import SSDGeometry
 from repro.workloads.records import Trace, TraceOp, TraceRecord
-from repro.workloads.replay import BatchTraceReplayer, ReplayResult
+from repro.workloads.replay import BatchTraceReplayer, ReplayResult, TraceReplayer
 
 GEOMETRY = SSDGeometry.tiny()
 CAPACITY = GEOMETRY.exported_pages
@@ -327,3 +327,17 @@ def test_a_record_op_that_is_not_a_trace_op_is_rejected():
     with pytest.raises(ValueError, match="record 0: op"):
         BatchTraceReplayer(device).replay(records)
     assert device.metrics.host_trims == device.metrics.host_writes == 0
+
+
+def test_per_op_replay_rejects_a_record_op_that_is_not_a_trace_op():
+    """The per-op loop counted such a record as replayed, yet issued nothing."""
+    device = fresh_device("ssd")
+    replayer = TraceReplayer(device)
+    records = [
+        TraceRecord(timestamp_us=5, op=TraceOp.WRITE, lba=1),
+        TraceRecord(timestamp_us=1_000_000, op="write", lba=3),
+    ]
+    with pytest.raises(ValueError, match="trace record 1: op 'write' is not a TraceOp"):
+        replayer.replay(records)
+    assert device.metrics.host_writes == 1
+    assert device.clock.now_us < 1_000_000
