@@ -8,8 +8,9 @@ so the offloaded analysis identifies the attacker, bounds the attack
 window, and backtracks the history of any victim page.
 
 The device and the victim environment come from :mod:`repro.api`, the
-stable public facade; the rollback is :mod:`repro.forensics`
-point-in-time recovery.
+stable public facade; the chain check, the attribution, the page history
+and the rollback all come from :class:`repro.forensics.ForensicsEngine`,
+the one post-attack analysis surface.
 
 Run with::
 
@@ -18,6 +19,7 @@ Run with::
 
 from repro.api import RSSD, RSSDConfig, provision_environment
 from repro.attacks.timing_attack import TimingAttack
+from repro.core.detection import profile_streams
 from repro.forensics import ForensicsEngine
 from repro.sim import format_duration
 from repro.workloads.replay import TraceReplayer
@@ -53,19 +55,19 @@ def main() -> None:
           f"suspected streams: {remote.suspected_streams} "
           f"(attacker stream is {env.attacker_stream})")
 
-    print("\nbuilding the trusted evidence chain...")
-    report = rssd.investigate()
-    print(f"  log entries          : {report.total_entries}")
-    print(f"  sealed segments      : {report.sealed_segments} "
-          f"({report.offloaded_segments} already on the remote tier)")
-    print(f"  chain verified       : {report.chain_verified}")
-    print(f"  reconstruction time  : {report.reconstruction_seconds:.3f}s (simulated)")
-    if report.attack_window_us:
-        start, end = report.attack_window_us
-        print(f"  attack window        : {format_duration(end - start)} "
-              f"starting at t={format_duration(start)}")
+    print("\nverifying the trusted evidence chain...")
+    engine = ForensicsEngine(rssd)
+    status = engine.verify_chain()
+    print(f"  log entries          : {status.total_entries}")
+    print(f"  sealed segments      : {status.sealed_segments} "
+          f"({status.offloaded_segments} already on the remote tier)")
+    print(f"  chain verified       : {status.chain_verified}")
+    attack = engine.classify()
+    print(f"  attack window        : {format_duration(attack.window_us)} "
+          f"starting at t={format_duration(attack.first_malicious_us)}")
+    print(f"  malicious streams    : {attack.malicious_streams} ({attack.pattern})")
 
-    profile = report.stream_profiles[env.attacker_stream]
+    profile = profile_streams(rssd.oplog.all_entries())[env.attacker_stream]
     print(f"  attacker profile     : {profile.writes} writes, "
           f"{profile.high_entropy_fraction:.0%} encrypted-looking, "
           f"{profile.read_then_overwrite} read-then-overwrite chains, "
@@ -73,21 +75,17 @@ def main() -> None:
 
     # Backtrack one victim page end to end.
     victim_file = outcome.victim_files[0]
-    victim_lba = outcome.original_extents[victim_file][0]
-    history = rssd.analyzer().backtrack_lba(victim_lba)
-    print(f"\nper-page history of LBA {victim_lba} ({victim_file}):")
-    for entry in history[-6:]:
-        print(f"  t={entry.timestamp_us:>14}us  {entry.op_type.value:<6} "
-              f"stream={entry.stream_id}  entropy={entry.entropy:.2f}")
-
-    # The file is clean once every page of its extent last held clean data.
-    analyzer = rssd.analyzer()
     extent = outcome.original_extents[victim_file]
-    clean_ts = max(
-        analyzer.last_clean_timestamp(lba, report.suspected_streams) for lba in extent
-    )
-    recovery = ForensicsEngine(rssd).recovery()
-    image = recovery.rebuild_image(clean_ts, lbas=extent)
+    history = engine.timeline.history(extent[0]).events
+    print(f"\nper-page history of LBA {extent[0]} ({victim_file}):")
+    for event in history[-6:]:
+        print(f"  t={event.timestamp_us:>14}us  {event.op_type.value:<6} "
+              f"stream={event.stream_id}  entropy={event.entropy:.2f}")
+
+    # The evidence dates the first malicious operation: every page of the
+    # file held clean data just before it.
+    recovery = engine.recovery()
+    image = recovery.rebuild_image(attack.first_malicious_us - 1, lbas=extent)
     written = recovery.apply(image)
     restored = env.fs.read_file(victim_file) if env.fs.exists(victim_file) else b""
     print(f"\nrolled {victim_file} back to its last clean version: "

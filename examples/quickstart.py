@@ -2,7 +2,9 @@
 """Quickstart: build an RSSD, write data, lose it, get it back.
 
 The device comes from :mod:`repro.api`, the stable public facade; the
-rollback goes through :mod:`repro.forensics` point-in-time recovery.
+rollback and the incident record both come from
+:class:`repro.forensics.ForensicsEngine`, the one post-attack analysis
+surface.
 
 Run with::
 
@@ -58,10 +60,12 @@ def main() -> None:
     print("lba 1:", rssd.read(1)[:38])
 
     print("\n== and the whole incident is on the record ==")
-    investigation = rssd.investigate()
-    print("evidence chain verified:", investigation.chain_verified,
-          "| logged operations:", investigation.total_entries,
-          "| suspected streams:", investigation.suspected_streams)
+    # A fresh engine: an engine caches its timeline, and the rollback
+    # above added operations to the log.
+    report = ForensicsEngine(rssd).investigate()
+    print("evidence chain verified:", report.chain_verified,
+          "| logged operations:", report.total_entries,
+          "| suspected streams:", report.malicious_streams)
 
     print("\ndevice summary:", rssd.summary())
 

@@ -15,10 +15,7 @@ from typing import Dict, List, Optional
 from repro.analysis.retention import lookup_volume
 from repro.analysis.stats import relative_overhead
 from repro.attacks.base import AttackOutcome
-from repro.attacks.classic import ClassicRansomware, DestructionMode
-from repro.attacks.gc_attack import GCAttack
-from repro.attacks.timing_attack import TimingAttack
-from repro.attacks.trimming_attack import TrimmingAttack
+from repro.campaign.registries import ATTACKS
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
 from repro.forensics.engine import ForensicsEngine
@@ -208,17 +205,10 @@ class RecoveryRow:
         return self.pages_restored / examined
 
 
-def _attack_by_name(name: str):
-    factories = {
-        "classic": lambda: ClassicRansomware(destruction=DestructionMode.OVERWRITE),
-        "classic-delete": lambda: ClassicRansomware(destruction=DestructionMode.DELETE),
-        "gc-attack": lambda: GCAttack(),
-        "timing-attack": lambda: TimingAttack(),
-        "trimming-attack": lambda: TrimmingAttack(),
-    }
-    if name not in factories:
-        raise KeyError(f"unknown attack {name!r}; available: {sorted(factories)}")
-    return factories[name]()
+#: Seed of every P3 and P4 attack: the attack base class's default,
+#: which the published P3/P4 rows were generated with.  Deriving a seed
+#: per row would change those rows.
+EXPERIMENT_ATTACK_SEED = 97
 
 
 def run_recovery_experiment(
@@ -241,7 +231,7 @@ def run_recovery_experiment(
     for name in attack_names:
         rssd = RSSD(config=RSSDConfig(geometry=geometry))
         env = provision_environment(rssd, victim_files=victim_files, file_size_bytes=file_size_bytes)
-        attack = _attack_by_name(name)
+        attack = ATTACKS[name](EXPERIMENT_ATTACK_SEED)
         outcome: AttackOutcome = attack.execute(env)
 
         # Roll back only what the attacker's streams touched, then time
@@ -313,6 +303,37 @@ class ForensicsRow:
     offloaded_segments: int
 
 
+#: Investigator-side cost of replaying one log entry during verification.
+REPLAY_US_PER_ENTRY = 2.0
+#: Log entries packed into one 4 KiB page fetched back from the remote tier.
+ENTRIES_PER_FETCHED_PAGE = 64
+
+
+def _charge_chain_replay(rssd: RSSD, total_entries: int) -> int:
+    """Advance the clock by the investigator's fetch-and-replay; return its µs.
+
+    Segments already shipped to the remote tier must be fetched back
+    before the chain can be replayed.  The charge stays out of
+    :meth:`~repro.forensics.engine.ForensicsEngine.verify_chain`, which
+    every RSSD campaign cell calls: charging it there would send a
+    capsule and advance the device clock inside every cell.
+    """
+    start_us = rssd.clock.now_us
+    offloaded_entries = sum(
+        segment.entry_count
+        for segment in rssd.oplog.sealed_segments()
+        if segment.offloaded
+    )
+    if offloaded_entries:
+        completion_us = rssd.offload.fetch_pages(
+            max(1, offloaded_entries // ENTRIES_PER_FETCHED_PAGE),
+            mean_compressed_page_bytes=4096,
+        )
+        rssd.clock.advance_to(int(completion_us))
+    rssd.clock.advance(int(REPLAY_US_PER_ENTRY * total_entries))
+    return rssd.clock.now_us - start_us
+
+
 def run_forensics_experiment(
     background_ops_list: Optional[List[int]] = None,
     geometry: Optional[SSDGeometry] = None,
@@ -343,19 +364,22 @@ def run_forensics_experiment(
         records = workload.generate(background_ops / 500.0)[:background_ops]
         TraceReplayer(rssd, honor_timestamps=False).replay(records)
 
-        attack = ClassicRansomware()
-        attack.execute(env)
+        ATTACKS["classic"](EXPERIMENT_ATTACK_SEED).execute(env)
         rssd.drain_offload_queue()
 
-        report = rssd.investigate()
+        engine = ForensicsEngine(rssd)
+        status = engine.verify_chain()
+        reconstruction_us = _charge_chain_replay(rssd, status.total_entries)
         rows.append(
             ForensicsRow(
                 background_ops=background_ops,
-                log_entries=report.total_entries,
-                chain_verified=report.chain_verified,
-                attacker_identified=env.attacker_stream in report.suspected_streams,
-                reconstruction_seconds=report.reconstruction_seconds,
-                offloaded_segments=report.offloaded_segments,
+                log_entries=status.total_entries,
+                chain_verified=status.chain_verified,
+                attacker_identified=(
+                    env.attacker_stream in engine.classify().malicious_streams
+                ),
+                reconstruction_seconds=reconstruction_us / 1_000_000.0,
+                offloaded_segments=status.offloaded_segments,
             )
         )
     return rows

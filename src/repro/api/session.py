@@ -44,9 +44,9 @@ from repro.api.events import (
 )
 from repro.api.spec import ScenarioSpec
 from repro.attacks.base import AttackEnvironment, AttackOutcome
-from repro.defenses.base import Defense, ForensicsEngineLike
+from repro.defenses.base import Defense
 from repro.defenses.matrix import DEFENDED_THRESHOLD
-from repro.forensics import TraceRecorder, reference_image
+from repro.forensics import ForensicsEngine, TraceRecorder, reference_image
 from repro.sim import SimClock
 from repro.ssd.device import HostOp
 from repro.ssd.geometry import SSDGeometry
@@ -101,14 +101,8 @@ class SessionResult:
         """
         from repro.campaign.results import CellResult
 
-        if self.spec is None:
-            raise ValueError(
-                "this result was produced with a workload or geometry override "
-                "its ScenarioSpec cannot express; cell results need the spec's "
-                "names and seeds to reproduce the run"
-            )
+        spec = self._faithful_spec()
         outcome = self.attack_outcome
-        spec = self.spec
         return CellResult(
             cell_key=spec.scenario_key,
             defense=spec.defense,
@@ -143,11 +137,25 @@ class SessionResult:
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready view: the spec plus the picklable cell scores."""
+        """JSON-ready view: the spec plus the picklable cell scores.
+
+        Like :meth:`to_cell_result`, requires a session that ran its
+        :class:`ScenarioSpec` as written.
+        """
         return {
-            "spec": self.spec.to_dict() if self.spec is not None else None,
+            "spec": self._faithful_spec().to_dict(),
             "result": self.to_cell_result().to_dict(),
         }
+
+    def _faithful_spec(self) -> ScenarioSpec:
+        """The spec this result reproduces; ``ValueError`` if it was cleared."""
+        if self.spec is None:
+            raise ValueError(
+                "this result was produced with a workload or geometry override "
+                "its ScenarioSpec cannot express; cell results need the spec's "
+                "names and seeds to reproduce the run"
+            )
+        return self.spec
 
 
 @dataclass(frozen=True)
@@ -305,7 +313,7 @@ class Session:
         self.env: Optional[AttackEnvironment] = None
         self._recorder: Optional[TraceRecorder] = None
         self._result: Optional[SessionResult] = None
-        self._forensics_cache: Optional[object] = None
+        self._forensics_cache: Optional[ForensicsEngine] = None
         self._detection_cache: Optional[DetectionView] = None
         self._detection_events: List[DetectionEvent] = []
         self._detected_at_us: Optional[int] = None
@@ -471,13 +479,13 @@ class Session:
             )
         return self._detection_cache
 
-    def forensics(self) -> "Optional[ForensicsEngineLike]":
+    def forensics(self) -> Optional[ForensicsEngine]:
         """The defense's post-attack analysis engine, or ``None`` (cached).
 
-        Available for defenses with ``supports_forensics`` (structurally
-        a :class:`~repro.defenses.base.ForensicsEngineLike`); the view is
-        bound to the live device, so it reflects everything up to the
-        moment it is queried.
+        A :class:`~repro.forensics.engine.ForensicsEngine` for defenses
+        with ``supports_forensics``; the view is bound to the live
+        device, so it reflects everything up to the moment it is
+        queried.
         """
         if self._forensics_cache is None:
             if not self.provisioned:

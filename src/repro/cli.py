@@ -350,13 +350,12 @@ def _cmd_recover(args: argparse.Namespace) -> str:
         known = "\n  ".join(spec.cell_key for spec in grid.cells())
         raise SystemExit(f"unknown cell {args.cell!r}; cells in this grid:\n  {known}")
     scenario = execute_cell_scenario(matches[0])
-    defense = scenario.defense
-    if not hasattr(defense, "forensics_engine"):
+    engine = scenario.defense.forensics_engine()
+    if engine is None:
         raise SystemExit(
-            f"cell {args.cell!r} runs on {defense.name}, which has no evidence "
-            "chain; forensics and recovery need an RSSD cell"
+            f"cell {args.cell!r} runs on {scenario.defense.name}, which has no "
+            "evidence chain; forensics and recovery need an RSSD cell"
         )
-    engine = defense.forensics_engine()
     outcome = scenario.attack_outcome
     sections = [
         f"Scenario: {args.cell} (campaign seed {grid.seed}); attack ran "

@@ -12,16 +12,15 @@ SSD substrate:
   retains trimmed data instead of releasing it.
 * :mod:`repro.core.offload` -- hardware-isolated NVMe-oE offloading of
   retained pages and log segments (compressed + encrypted, time order).
-* :mod:`repro.core.forensics` -- trusted evidence chain construction
-  and per-LBA backtracking for post-attack analysis.
 * :mod:`repro.core.detection` -- local lightweight and remote offloaded
-  ransomware detection.
+  ransomware detection, and the per-stream profiling (with its
+  hindsight suspect rule) that post-attack analysis in
+  :mod:`repro.forensics` shares with the remote detector.
 * :mod:`repro.core.rssd` -- the :class:`RSSD` facade wiring it all up.
 """
 
 from repro.core.config import RSSDConfig
 from repro.core.detection import DetectionReport, LocalDetector, RemoteDetector
-from repro.core.forensics import EvidenceChainReport, PostAttackAnalyzer
 from repro.core.offload import OffloadEngine, OffloadStats
 from repro.core.oplog import LogEntry, LogSegment, OperationLog
 from repro.core.retention import RetentionManager
@@ -31,14 +30,12 @@ from repro.core.trim_handler import EnhancedTrimHandler
 __all__ = [
     "DetectionReport",
     "EnhancedTrimHandler",
-    "EvidenceChainReport",
     "LocalDetector",
     "LogEntry",
     "LogSegment",
     "OffloadEngine",
     "OffloadStats",
     "OperationLog",
-    "PostAttackAnalyzer",
     "RSSD",
     "RSSDConfig",
     "RemoteDetector",

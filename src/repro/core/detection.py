@@ -13,15 +13,21 @@ detectors are provided:
 * :class:`RemoteDetector` -- runs on the remote servers over the full
   offloaded log; profiles each stream over its whole history, so pacing
   does not help the attacker.
+
+The stream profiling behind the remote detector -- :class:`StreamProfile`,
+:func:`profile_streams` and the hindsight rule :func:`suspect_streams`
+-- is defined once here; :class:`repro.forensics.ForensicsEngine`
+classifies attacks with the same two functions, so the detector and the
+forensic report cannot disagree on who the attacker was.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.forensics import PostAttackAnalyzer
-from repro.core.oplog import OperationLog
+from repro.core.oplog import LogEntry, OperationLog
 from repro.crypto.entropy import (
     DEFAULT_ENCRYPTED_THRESHOLD,
     DEFAULT_JUMP_THRESHOLD,
@@ -120,34 +126,166 @@ class LocalDetector:
         )
 
 
+#: Distinct recently-read pages remembered for read-then-trim attribution.
+RECENT_READ_PAGES = 512
+#: Floor of writes, trims or telltale operations below which the
+#: hindsight rule suspects no stream.
+MIN_SUSPECT_OPERATIONS = 8
+#: Fraction of a stream's writes that must carry an encryption tell
+#: (half of it for the partially-encrypting rule).
+SUSPECT_ENTROPY_FRACTION = 0.5
+
+
+@dataclass(frozen=True)
+class StreamProfile:
+    """Behavioural summary of one host stream, derived from the log."""
+
+    stream_id: int
+    operations: int
+    writes: int
+    trims: int
+    reads: int
+    high_entropy_writes: int
+    read_then_overwrite: int
+    first_us: int
+    last_us: int
+    #: Writes whose entropy rose by at least the jump threshold over the
+    #: previous write to the same page (any stream's) -- the signal that
+    #: survives entropy-shaped (mimicry) ciphertext.
+    entropy_jump_writes: int = 0
+    #: Trimmed pages that some stream had read shortly before the trim
+    #: -- the read-then-destroy signature that separates a trim-wiping
+    #: attacker from benign discard traffic.
+    trims_of_read_data: int = 0
+
+    @property
+    def high_entropy_fraction(self) -> float:
+        return self.high_entropy_writes / self.writes if self.writes else 0.0
+
+    @property
+    def jump_fraction(self) -> float:
+        """Fraction of this stream's writes that were entropy jumps."""
+        return self.entropy_jump_writes / self.writes if self.writes else 0.0
+
+    @property
+    def duration_us(self) -> int:
+        return max(0, self.last_us - self.first_us)
+
+
+def profile_streams(entries: Sequence[LogEntry]) -> Dict[int, StreamProfile]:
+    """Summarise per-stream behaviour over the logged ``entries``."""
+    per_stream: Dict[int, List[LogEntry]] = {}
+    # Jump and read-then-trim detection need the cross-stream view:
+    # the replaced (or wiped) data a malicious stream destroys was
+    # usually written -- and read back -- under the user's stream.
+    jump_writes: Dict[int, int] = {}
+    trims_of_read: Dict[int, int] = {}
+    jump_tracker = EntropyJumpTracker()
+    recent_read_order: Deque[int] = deque()
+    recent_read_pages: Set[int] = set()
+    for entry in entries:
+        per_stream.setdefault(entry.stream_id, []).append(entry)
+        pages = range(entry.lba, entry.lba + max(1, entry.npages))
+        if entry.op_type is HostOpType.WRITE:
+            delta = jump_tracker.observe(entry.lba, entry.entropy)
+            if delta is not None and delta >= DEFAULT_JUMP_THRESHOLD:
+                jump_writes[entry.stream_id] = jump_writes.get(entry.stream_id, 0) + 1
+        elif entry.op_type is HostOpType.READ:
+            for page in pages:
+                if page not in recent_read_pages:
+                    recent_read_pages.add(page)
+                    recent_read_order.append(page)
+                    if len(recent_read_order) > RECENT_READ_PAGES:
+                        recent_read_pages.discard(recent_read_order.popleft())
+        elif entry.op_type is HostOpType.TRIM:
+            hit = sum(1 for page in pages if page in recent_read_pages)
+            if hit:
+                trims_of_read[entry.stream_id] = (
+                    trims_of_read.get(entry.stream_id, 0) + hit
+                )
+    profiles: Dict[int, StreamProfile] = {}
+    for stream_id, stream_entries in per_stream.items():
+        writes = [e for e in stream_entries if e.op_type is HostOpType.WRITE]
+        trims = [e for e in stream_entries if e.op_type is HostOpType.TRIM]
+        reads = [e for e in stream_entries if e.op_type is HostOpType.READ]
+        high_entropy = [e for e in writes if e.entropy >= DEFAULT_ENCRYPTED_THRESHOLD]
+        recently_read: Set[int] = set()
+        read_then_overwrite = 0
+        for entry in stream_entries:
+            pages = range(entry.lba, entry.lba + max(1, entry.npages))
+            if entry.op_type is HostOpType.READ:
+                recently_read.update(pages)
+            elif entry.op_type is HostOpType.WRITE:
+                if any(page in recently_read for page in pages):
+                    read_then_overwrite += 1
+        profiles[stream_id] = StreamProfile(
+            stream_id=stream_id,
+            operations=len(stream_entries),
+            writes=len(writes),
+            trims=len(trims),
+            reads=len(reads),
+            high_entropy_writes=len(high_entropy),
+            read_then_overwrite=read_then_overwrite,
+            first_us=min(e.timestamp_us for e in stream_entries),
+            last_us=max(e.timestamp_us for e in stream_entries),
+            entropy_jump_writes=jump_writes.get(stream_id, 0),
+            trims_of_read_data=trims_of_read.get(stream_id, 0),
+        )
+    return profiles
+
+
+def suspect_streams(profiles: Dict[int, StreamProfile]) -> List[int]:
+    """Streams whose behaviour matches encryption ransomware.
+
+    Three rules, each aimed at a family the defenses' live detectors
+    can miss but hindsight should not:
+
+    * **encrypting** -- at least :data:`SUSPECT_ENTROPY_FRACTION` of
+      the stream's writes look encrypted (absolute entropy) *or* jumped
+      over the data they replaced (which survives entropy-shaped
+      mimicry), and the stream destroys originals (overwrites data it
+      read, or trims);
+    * **partially encrypting** -- only a minority of writes carry
+      either tell (intermittent/partial encryption), but there are at
+      least :data:`MIN_SUSPECT_OPERATIONS` of them and the stream
+      destroys originals;
+    * **wiping** -- the stream trims enough *recently-read* pages:
+      read-then-destroy is the trim-wipe signature, and requiring it
+      keeps benign discard traffic (deletes without a preceding read)
+      off the suspect list even with no encryption tell.
+
+    A stream with fewer than :data:`MIN_SUSPECT_OPERATIONS` writes and
+    as few trims is never suspected.
+    """
+    suspects = []
+    for stream_id, profile in profiles.items():
+        if profile.writes < MIN_SUSPECT_OPERATIONS and profile.trims < MIN_SUSPECT_OPERATIONS:
+            continue
+        encryption_tell = max(profile.high_entropy_fraction, profile.jump_fraction)
+        destroys_originals = profile.read_then_overwrite > 0 or profile.trims > 0
+        encrypting = encryption_tell >= SUSPECT_ENTROPY_FRACTION
+        partially_encrypting = (
+            encryption_tell >= SUSPECT_ENTROPY_FRACTION / 2.0
+            and max(profile.high_entropy_writes, profile.entropy_jump_writes)
+            >= MIN_SUSPECT_OPERATIONS
+            and destroys_originals
+        )
+        wiping = profile.trims_of_read_data >= MIN_SUSPECT_OPERATIONS
+        if (encrypting and destroys_originals) or partially_encrypting or wiping:
+            suspects.append(stream_id)
+    return sorted(suspects)
+
+
 class RemoteDetector:
     """Offloaded, full-history detector running on the remote servers."""
 
-    def __init__(
-        self,
-        oplog: OperationLog,
-        analyzer: Optional[PostAttackAnalyzer] = None,
-        entropy_fraction: float = 0.5,
-        min_writes: int = 8,
-    ) -> None:
+    def __init__(self, oplog: OperationLog) -> None:
         self.oplog = oplog
-        self.analyzer = analyzer
-        self.entropy_fraction = entropy_fraction
-        self.min_writes = min_writes
 
     def analyze(self) -> DetectionReport:
         """Profile every stream over the full log and flag ransomware-like ones."""
         entries = self.oplog.all_entries()
-        if self.analyzer is not None:
-            profiles = self.analyzer.profile_streams(entries)
-            suspects = self.analyzer.suspect_streams(
-                profiles,
-                min_writes=self.min_writes,
-                entropy_fraction=self.entropy_fraction,
-            )
-        else:
-            profiles = {}
-            suspects = []
+        suspects = suspect_streams(profile_streams(entries))
         detection_time = None
         trigger = ""
         if suspects:

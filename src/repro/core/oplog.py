@@ -12,9 +12,7 @@ post-attack analysis replays and verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
-
-import numpy as np
+from typing import Iterable, List, Optional
 
 from repro.compat import DATACLASS_SLOTS
 from repro.crypto.hashing import HashChain
@@ -105,18 +103,6 @@ class OperationLog:
         self._open_entries: List[LogEntry] = []
         self._segments: List[LogSegment] = []
         self._sequence = 0
-        # Struct-of-arrays append path: instead of expanding every
-        # multi-page entry into per-page dict appends on the hot path,
-        # the append records (lba, npages, sequence) into three int
-        # columns; the per-LBA coverage dict is derived lazily from the
-        # columns the first time a query needs it (and extended
-        # incrementally on later queries).
-        self._idx_lba = np.empty(1024, dtype=np.int64)
-        self._idx_npages = np.empty(1024, dtype=np.int64)
-        self._idx_seq = np.empty(1024, dtype=np.int64)
-        self._idx_size = 0
-        self._indexed_upto = 0
-        self._lba_index: Dict[int, List[int]] = {}
 
     # -- observer interface --------------------------------------------------
 
@@ -134,17 +120,6 @@ class OperationLog:
             )
         self.chain.append(entry.to_bytes())
         self._open_entries.append(entry)
-        size = self._idx_size
-        if size == len(self._idx_lba):
-            for name in ("_idx_lba", "_idx_npages", "_idx_seq"):
-                column = getattr(self, name)
-                grown = np.empty(size * 2, dtype=np.int64)
-                grown[:size] = column
-                setattr(self, name, grown)
-        self._idx_lba[size] = entry.lba
-        self._idx_npages[size] = entry.npages
-        self._idx_seq[size] = entry.sequence
-        self._idx_size = size + 1
         self._sequence += 1
         if len(self._open_entries) >= self.segment_entries:
             self.seal_segment()
@@ -200,27 +175,6 @@ class OperationLog:
             entries.extend(segment.entries)
         entries.extend(self._open_entries)
         return entries
-
-    def _sync_lba_index(self) -> None:
-        """Extend the per-LBA coverage dict from the unindexed column tail."""
-        start = self._indexed_upto
-        if start == self._idx_size:
-            return
-        lbas = self._idx_lba[start : self._idx_size].tolist()
-        npages = self._idx_npages[start : self._idx_size].tolist()
-        sequences = self._idx_seq[start : self._idx_size].tolist()
-        index = self._lba_index
-        for lba, count, sequence in zip(lbas, npages, sequences):
-            for offset in range(max(1, count)):
-                index.setdefault(lba + offset, []).append(sequence)
-        self._indexed_upto = self._idx_size
-
-    def entries_for_lba(self, lba: int) -> List[LogEntry]:
-        """Every logged operation that touched ``lba``, in order."""
-        self._sync_lba_index()
-        sequences = self._lba_index.get(lba, [])
-        by_sequence = {entry.sequence: entry for entry in self.all_entries()}
-        return [by_sequence[seq] for seq in sequences if seq in by_sequence]
 
     # -- integrity ----------------------------------------------------------------
 

@@ -20,7 +20,6 @@ from typing import List, Optional
 
 from repro.core.config import RSSDConfig
 from repro.core.detection import DetectionReport, LocalDetector, RemoteDetector
-from repro.core.forensics import EvidenceChainReport, PostAttackAnalyzer
 from repro.core.offload import OffloadEngine
 from repro.core.oplog import OperationLog
 from repro.core.retention import RetentionManager
@@ -179,23 +178,9 @@ class RSSD:
 
     # -- services -----------------------------------------------------------------------------
 
-    def analyzer(self) -> PostAttackAnalyzer:
-        """The post-attack analysis service."""
-        return PostAttackAnalyzer(oplog=self.oplog, clock=self.clock, offload=self.offload)
-
-    def remote_detector(self) -> RemoteDetector:
-        """Detection offloaded to the remote servers over the full log."""
-        return RemoteDetector(oplog=self.oplog, analyzer=self.analyzer())
-
-    # -- convenience wrappers used by experiments ------------------------------------------------
-
-    def investigate(self) -> EvidenceChainReport:
-        """Build and verify the trusted evidence chain."""
-        return self.analyzer().build_evidence_chain()
-
     def detect(self) -> DetectionReport:
         """Run the offloaded (remote) detector over the full operation log."""
-        return self.remote_detector().analyze()
+        return RemoteDetector(self.oplog).analyze()
 
     # -- invariants -----------------------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Callable, List, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.sim import SimClock, US_PER_DAY
 from repro.ssd.device import SSD, HostOp
@@ -20,63 +20,9 @@ from repro.ssd.flash import PageContent
 from repro.ssd.ftl import FTL, InvalidationCause, StalePage
 from repro.ssd.geometry import SSDGeometry
 
-
-@runtime_checkable
-class ForensicReportLike(Protocol):
-    """Structural type of a legacy evidence-chain summary.
-
-    Matches :class:`repro.core.forensics.EvidenceChainReport` -- the
-    object :meth:`Defense.forensic_report` returns for defenses that
-    keep a verifiable operation log.  Kept as a protocol so the defense
-    layer does not import the forensics layer at runtime.
-    """
-
-    total_entries: int
-    sealed_segments: int
-    offloaded_segments: int
-    chain_verified: bool
-
-
-@runtime_checkable
-class DetectionReportLike(Protocol):
-    """Structural type of a detector's verdict report.
-
-    Matches :class:`repro.core.detection.DetectionReport` -- what
-    :meth:`Defense.detection_reports` yields for defenses that expose
-    per-detector outcomes.  Kept as a protocol so the defense layer does
-    not import the detection layer at runtime.
-    """
-
-    detector: str
-    detected: bool
-    detection_time_us: Optional[int]
-    trigger: str
-
-
-@runtime_checkable
-class ForensicsEngineLike(Protocol):
-    """Structural type of a post-attack analysis service.
-
-    Matches :class:`repro.forensics.engine.ForensicsEngine`; the methods
-    listed here are exactly the capability surface the campaign engine,
-    the ``repro recover`` CLI and :meth:`repro.api.Session.forensics`
-    rely on.
-    """
-
-    def verify_chain(self) -> object:
-        """Verify the hash chain and remote arrival order."""
-
-    def classify(self) -> object:
-        """Identify the attack pattern, origin and blast radius."""
-
-    def recover_to(self, timestamp_us: int, simulate_fetch: bool = False) -> object:
-        """Rebuild the device image as of ``timestamp_us`` (read-only)."""
-
-    def snapshots(self) -> object:
-        """Recoverable points in the evidence chain, oldest first."""
-
-    def investigate(self) -> object:
-        """Run the complete analysis and assemble one forensic report."""
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.core.detection import DetectionReport
+    from repro.forensics.engine import ForensicsEngine
 
 
 class Defense(ABC):
@@ -150,7 +96,7 @@ class Defense(ABC):
             return None
         return getattr(self, "_detected_at_us", None)
 
-    def detection_reports(self) -> List[DetectionReportLike]:
+    def detection_reports(self) -> List[DetectionReport]:
         """Per-detector verdict reports, if the defense exposes any.
 
         Defenses running named detectors (e.g. RSSD's in-firmware window
@@ -161,18 +107,14 @@ class Defense(ABC):
         """
         return []
 
-    def forensic_report(self) -> Optional[ForensicReportLike]:
-        """A verified record of operations, if the defense supports forensics."""
-        return None
-
-    def forensics_engine(self) -> Optional[ForensicsEngineLike]:
+    def forensics_engine(self) -> Optional[ForensicsEngine]:
         """The post-attack analysis service, if the defense supports one.
 
         Defenses with ``supports_forensics`` return a
-        :class:`repro.forensics.engine.ForensicsEngine`-compatible
-        object (structurally, a :class:`ForensicsEngineLike`); everything
-        else returns ``None``.  This is the single capability probe the
-        campaign engine and the ``repro recover`` CLI share.
+        :class:`~repro.forensics.engine.ForensicsEngine` bound to their
+        device; everything else returns ``None``.  This is the single
+        capability probe the campaign engine and the ``repro recover``
+        CLI share.
         """
         return None
 

@@ -8,12 +8,13 @@ be scored in exactly the same runs as the baselines.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.config import RSSDConfig
 from repro.core.detection import DetectionReport
 from repro.core.rssd import RSSD
 from repro.defenses.base import Defense
+from repro.forensics import ForensicsEngine
 from repro.sim import SimClock
 from repro.ssd.flash import PageContent
 from repro.ssd.geometry import SSDGeometry
@@ -94,7 +95,7 @@ class RSSDDefense(Defense):
             return getattr(self._remote_report, "detection_time_us", None)
         return None
 
-    def detection_reports(self):
+    def detection_reports(self) -> List[DetectionReport]:
         """The local-window and remote-offloaded reports (after :meth:`detect`)."""
         return [
             report
@@ -105,11 +106,7 @@ class RSSDDefense(Defense):
             if report is not None
         ]
 
-    def forensic_report(self):
-        """The legacy evidence-chain summary (see :meth:`forensics_engine`)."""
-        return self.rssd.investigate()
-
-    def forensics_engine(self):
+    def forensics_engine(self) -> ForensicsEngine:
         """The full post-attack analysis and point-in-time recovery service.
 
         Returns a :class:`~repro.forensics.engine.ForensicsEngine` bound
@@ -117,6 +114,4 @@ class RSSDDefense(Defense):
         recover`` CLI use it to produce exact recovery metrics and the
         attack-timeline report.
         """
-        from repro.forensics import ForensicsEngine
-
         return ForensicsEngine(self.rssd)

@@ -4,10 +4,10 @@ Given a verified :class:`~repro.forensics.timeline.OperationTimeline`,
 this module answers the investigator's first three questions: *which
 attack pattern ran*, *when did it start* (the first malicious
 operation), and *how much did it touch* (the blast radius in pages and
-bytes).  Stream suspicion reuses the behavioural profiling of
-:class:`repro.core.forensics.PostAttackAnalyzer`, so the campaign
-engine, the detector and the forensic report all agree on who the
-attacker was.
+bytes).  Stream suspicion is the remote detector's own behavioural
+profiling (:func:`repro.core.detection.profile_streams` and
+:func:`repro.core.detection.suspect_streams`), so the campaign engine,
+the detector and the forensic report all agree on who the attacker was.
 """
 
 from __future__ import annotations
@@ -15,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.core.forensics import StreamProfile
+from repro.core.detection import StreamProfile
 from repro.crypto.entropy import DEFAULT_ENCRYPTED_THRESHOLD
 from repro.forensics.timeline import OperationTimeline, TimelineEvent
 from repro.sim import US_PER_MINUTE
 from repro.ssd.device import HostOpType
-
-#: Entropy above which a logged write is counted as encrypted-looking.
-HIGH_ENTROPY_THRESHOLD = DEFAULT_ENCRYPTED_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,8 @@ def classify_attack(
     """Classify the attack recorded in ``timeline``.
 
     ``profiles`` and ``suspects`` come from
-    :class:`~repro.core.forensics.PostAttackAnalyzer`; ``page_size``
+    :func:`~repro.core.detection.profile_streams` and
+    :func:`~repro.core.detection.suspect_streams`; ``page_size``
     converts the page-granular blast radius into bytes.
     """
     suspect_set = set(suspects)
@@ -161,7 +159,7 @@ def classify_attack(
         1
         for event in destructive
         if event.op_type is HostOpType.WRITE
-        and event.entropy >= HIGH_ENTROPY_THRESHOLD
+        and event.entropy >= DEFAULT_ENCRYPTED_THRESHOLD
     )
     trimmed_pages = sum(1 for event in destructive if event.op_type is HostOpType.TRIM)
     first = destructive[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.forensics import PostAttackAnalyzer
+from repro.core.detection import profile_streams, suspect_streams
 from repro.core.rssd import RSSD
 from repro.forensics.classify import AttackClassification, classify_attack
 from repro.forensics.pitr import PointInTimeRecovery, RecoveredImage, Snapshot
@@ -57,9 +57,6 @@ class ForensicsEngine:
     def __init__(self, rssd: RSSD) -> None:
         self.rssd = rssd
         self._timeline: Optional[OperationTimeline] = None
-        self._analyzer = PostAttackAnalyzer(
-            oplog=rssd.oplog, clock=rssd.clock, offload=rssd.offload
-        )
 
     # -- evidence ---------------------------------------------------------
 
@@ -89,10 +86,9 @@ class ForensicsEngine:
 
     def classify(self) -> AttackClassification:
         """Identify the attack pattern, origin and blast radius."""
-        profiles = self._analyzer.profile_streams()
-        suspects = self._analyzer.suspect_streams(profiles)
+        profiles = profile_streams(self.rssd.oplog.all_entries())
         return classify_attack(
-            self.timeline, profiles, suspects, page_size=self.rssd.page_size
+            self.timeline, profiles, suspect_streams(profiles), page_size=self.rssd.page_size
         )
 
     # -- recovery ---------------------------------------------------------

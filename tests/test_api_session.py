@@ -189,6 +189,8 @@ class TestSessionLifecycle:
         assert result.spec is None
         with pytest.raises(ValueError, match="geometry override"):
             result.to_cell_result()
+        with pytest.raises(ValueError, match="geometry override"):
+            result.to_dict()
 
     def test_detection_time_and_latency_agree(self):
         """The view's time and latency derive from the same detector."""

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
+from repro.forensics import ForensicsEngine
 from repro.ssd.device import SSDBuilder
 from repro.ssd.flash import PageContent
 from repro.ssd.geometry import SSDGeometry
@@ -218,6 +219,7 @@ class TestCoalescedReplayEquivalence:
         ).replay(trace)
         assert result.device_calls == 5
         assert device.oplog.total_entries == 5
-        # The aggregated entries still index every written LBA.
+        # The aggregated entries still cover every written LBA, once.
+        timeline = ForensicsEngine(device).timeline
         for lba in range(40):
-            assert device.oplog.entries_for_lba(lba)
+            assert timeline.history(lba).writes == 1

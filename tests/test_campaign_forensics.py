@@ -10,6 +10,8 @@ Three guarantees are pinned here:
    being silently swallowed (the historical failure mode).
 3. The full forensic report for every RSSD cell of the tiny campaign
    grid reproduces ``tests/golden/forensics_tiny.json`` bit-for-bit.
+4. ``repro recover`` runs every action on a tiny-grid RSSD cell and
+   refuses, with its message, cells that have no evidence chain.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ import pytest
 
 from repro.campaign import CampaignGrid, CellResult, run_cell
 from repro.campaign.engine import execute_cell_scenario
+from repro.cli import main
+from repro.forensics import ForensicReport
 from repro.nvmeoe import remote as remote_module
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FORENSICS = GOLDEN_DIR / "forensics_tiny.json"
+RSSD_CELL = "RSSD/classic/office-edit/tiny"
 
 
 def tiny_spec(cell_key: str):
@@ -145,3 +150,39 @@ class TestGoldenForensicReport:
         trim = stored["RSSD/trimming-attack/office-edit/tiny"]
         assert trim["pattern"] == "encrypt-then-trim"
         assert trim["trimmed_pages"] > 0
+
+
+class TestRecoverCommand:
+    @staticmethod
+    def recover(capsys, *args: str) -> str:
+        assert main(["recover", "--grid", "tiny", "--cell", RSSD_CELL, *args]) == 0
+        return capsys.readouterr().out
+
+    def test_verify_chain(self, capsys):
+        assert "chain verified:     True" in self.recover(capsys, "--verify-chain")
+
+    def test_rebuild_to_pre_attack_matches_exactly(self, capsys):
+        assert "MATCHES exactly" in self.recover(capsys, "--to", "pre-attack")
+
+    def test_list_snapshots(self, capsys):
+        assert "recoverable points" in self.recover(capsys, "--list-snapshots")
+
+    def test_default_action_ends_in_the_json_report(self, capsys):
+        out = self.recover(capsys, "--json")
+        report = ForensicReport.from_json(out[out.rindex("\n{") + 1 :])
+        assert report.chain_verified
+        assert report.malicious_streams
+
+    def test_apply_without_target_exits(self):
+        with pytest.raises(SystemExit, match="--apply only makes sense with --to"):
+            main(["recover", "--apply"])
+
+    def test_unknown_cell_exits(self):
+        with pytest.raises(SystemExit, match="unknown cell 'NoSuch/cell'"):
+            main(["recover", "--cell", "NoSuch/cell"])
+
+    def test_cell_without_evidence_chain_exits(self):
+        with pytest.raises(
+            SystemExit, match="runs on LocalSSD, which has no evidence chain"
+        ):
+            main(["recover", "--cell", "LocalSSD/classic/office-edit/tiny", "--verify-chain"])

@@ -1,12 +1,13 @@
-"""Tests for post-attack analysis (evidence chain) and detection."""
+"""Tests for post-attack analysis (evidence chain, attribution) and detection."""
 
 import pytest
 
+from repro.analysis.experiments import run_forensics_experiment
 from repro.api import provision_environment
 from repro.attacks.classic import ClassicRansomware
 from repro.attacks.timing_attack import TimingAttack
 from repro.core.config import RSSDConfig
-from repro.core.detection import LocalDetector, RemoteDetector
+from repro.core.detection import LocalDetector, profile_streams, suspect_streams
 from repro.core.rssd import RSSD
 from repro.forensics import ForensicsEngine
 from repro.ssd.device import HostOp, HostOpType
@@ -27,15 +28,21 @@ class TestPostAttackAnalyzer:
         env = provision_environment(rssd, victim_files=12, file_size_bytes=8192)
         outcome = ClassicRansomware().execute(env)
         rssd.drain_offload_queue()
-        report = rssd.investigate()
-        assert report.chain_verified
-        assert report.tampered_at is None
-        assert env.attacker_stream in report.suspected_streams
-        assert env.user_stream not in report.suspected_streams
-        assert report.total_entries == rssd.oplog.total_entries
-        assert report.attack_window_us is not None
-        start, end = report.attack_window_us
-        assert outcome.start_us <= start <= end <= outcome.end_us + 1
+        engine = ForensicsEngine(rssd)
+        status = engine.verify_chain()
+        assert status.chain_verified
+        assert status.tampered_at is None
+        assert status.total_entries == rssd.oplog.total_entries
+        attack = engine.classify()
+        assert env.attacker_stream in attack.malicious_streams
+        assert env.user_stream not in attack.malicious_streams
+        assert attack.first_malicious_us is not None
+        assert (
+            outcome.start_us
+            <= attack.first_malicious_us
+            <= attack.last_malicious_us
+            <= outcome.end_us + 1
+        )
 
     def test_backtracking_reconstructs_page_history(self):
         rssd = RSSD(config=RSSDConfig.tiny())
@@ -43,43 +50,54 @@ class TestPostAttackAnalyzer:
         victim = env.fs.list_files()[0]
         lba = env.fs.file_lbas(victim)[0]
         ClassicRansomware().execute(env)
-        analyzer = rssd.analyzer()
-        history = analyzer.backtrack_lba(lba)
-        ops = [entry.op_type for entry in history]
+        history = ForensicsEngine(rssd).timeline.history(lba).events
+        ops = [event.op_type for event in history]
         # The page was written when the file was created, read by the
         # attacker, and overwritten with ciphertext -- in that order.
         assert HostOpType.WRITE in ops
         assert HostOpType.READ in ops
-        write_entries = [e for e in history if e.op_type is HostOpType.WRITE]
-        assert write_entries[-1].entropy > 7.0
+        write_events = [e for e in history if e.op_type is HostOpType.WRITE]
+        assert write_events[-1].entropy > 7.0
 
-    def test_last_clean_timestamp(self):
+    def test_rollback_to_first_malicious_op_restores_every_file(self):
+        rssd = RSSD(config=RSSDConfig.tiny())
+        env = provision_environment(rssd, victim_files=12, file_size_bytes=8192)
+        outcome = ClassicRansomware().execute(env)
+        engine = ForensicsEngine(rssd)
+        attack = engine.classify()
+        assert attack.first_malicious_us is not None
+        assert attack.first_malicious_us >= outcome.start_us
+        extents = sorted(
+            lba for extent in outcome.original_extents.values() for lba in extent
+        )
+        recovery = engine.recovery()
+        recovery.apply(recovery.rebuild_image(attack.first_malicious_us - 1, lbas=extents))
+        assert len(outcome.original_contents) == 12
+        for name, original in outcome.original_contents.items():
+            assert env.fs.read_file(name) == original, name
+
+    def test_attack_under_the_suspect_floor_offers_no_clean_point(self):
+        # Six one-page files: the attacker's 7 writes (6 ciphertext) stay
+        # under the hindsight rule's 8-operation floor.  The evidence then
+        # names no attacker, so nothing may claim a "clean" point -- the
+        # old last-clean-write query returned the attacker's own write.
         rssd = RSSD(config=RSSDConfig.tiny())
         env = provision_environment(rssd, victim_files=6, file_size_bytes=4096)
-        victim = env.fs.list_files()[0]
-        lba = env.fs.file_lbas(victim)[0]
         ClassicRansomware().execute(env)
-        analyzer = rssd.analyzer()
-        suspects = analyzer.suspect_streams()
-        clean_ts = analyzer.last_clean_timestamp(lba, suspects)
-        assert clean_ts is not None
-        # Every page of the file is producible as of that timestamp.
-        image = ForensicsEngine(rssd).recovery().rebuild_image(
-            clean_ts, lbas=env.fs.file_lbas(victim)
-        )
-        assert image.pages_lost == 0
+        profiles = profile_streams(rssd.oplog.all_entries())
+        attacker = profiles[env.attacker_stream]
+        assert (attacker.writes, attacker.high_entropy_writes) == (7, 6)
+        assert suspect_streams(profiles) == []
+        engine = ForensicsEngine(rssd)
+        attack = engine.classify()
+        assert attack.pattern == "none"
+        assert attack.malicious_streams == []
+        assert engine.investigate().recovery_target_us is None
 
     def test_reconstruction_time_grows_with_log_size(self):
-        small = RSSD(config=RSSDConfig.tiny())
-        for index in range(50):
-            small.write(index % 32, normal_content(index))
-        small_report = small.investigate()
-
-        large = RSSD(config=RSSDConfig.tiny())
-        for index in range(600):
-            large.write(index % 32, normal_content(index))
-        large_report = large.investigate()
-        assert large_report.reconstruction_us > small_report.reconstruction_us
+        small, large = run_forensics_experiment(background_ops_list=[200, 1000])
+        assert small.log_entries < large.log_entries
+        assert small.reconstruction_seconds < large.reconstruction_seconds
 
     def test_profiles_capture_stream_behaviour(self):
         rssd = RSSD(config=RSSDConfig.tiny())
@@ -88,7 +106,7 @@ class TestPostAttackAnalyzer:
         for index in range(20):
             rssd.read(index, stream_id=7)
             rssd.write(index, encrypted_content(1000 + index), stream_id=7)
-        profiles = rssd.analyzer().profile_streams()
+        profiles = profile_streams(rssd.oplog.all_entries())
         assert profiles[7].high_entropy_fraction > 0.9
         assert profiles[7].read_then_overwrite > 0
         assert profiles[1].high_entropy_fraction < 0.1
@@ -105,7 +123,7 @@ class TestPostAttackAnalyzer:
                 PageContent.synthetic(500 + index, 4096, entropy=6.9),
                 stream_id=7,
             )
-        profiles = rssd.analyzer().profile_streams()
+        profiles = profile_streams(rssd.oplog.all_entries())
         assert profiles[7].entropy_jump_writes == 12
         assert profiles[7].jump_fraction == 1.0
         assert profiles[1].entropy_jump_writes == 0
@@ -118,8 +136,7 @@ class TestPostAttackAnalyzer:
             rssd.write(index, normal_content(index), stream_id=1)
         for index in range(24):
             rssd.trim(index, stream_id=1)
-        analyzer = rssd.analyzer()
-        assert analyzer.suspect_streams() == []
+        assert suspect_streams(profile_streams(rssd.oplog.all_entries())) == []
 
     def test_read_then_trim_wipe_is_suspected(self):
         # The same trims *after the data was read back* carry the
@@ -131,10 +148,9 @@ class TestPostAttackAnalyzer:
             rssd.read(index, stream_id=1)
         for index in range(24):
             rssd.trim(index, stream_id=7)
-        analyzer = rssd.analyzer()
-        profiles = analyzer.profile_streams()
+        profiles = profile_streams(rssd.oplog.all_entries())
         assert profiles[7].trims_of_read_data == 24
-        assert analyzer.suspect_streams() == [7]
+        assert suspect_streams(profiles) == [7]
 
 
 class TestLocalDetector:
@@ -187,6 +203,8 @@ class TestRemoteDetector:
         assert not local.detected  # the whole point of the timing attack
         assert remote.detected
         assert env.attacker_stream in remote.suspected_streams
+        # The detector and the forensic classifier share one hindsight rule.
+        assert remote.suspected_streams == ForensicsEngine(rssd).classify().malicious_streams
 
     def test_remote_detector_clean_workload_no_false_positive(self):
         rssd = RSSD(config=RSSDConfig.tiny())
@@ -195,8 +213,3 @@ class TestRemoteDetector:
         report = rssd.detect()
         assert not report.detected
         assert report.suspected_streams == []
-
-    def test_remote_detector_without_analyzer(self):
-        rssd = RSSD(config=RSSDConfig.tiny())
-        detector = RemoteDetector(rssd.oplog, analyzer=None)
-        assert not detector.analyze().detected

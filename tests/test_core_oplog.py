@@ -66,24 +66,6 @@ class TestLogAppend:
         assert len(log.sealed_segments(unoffloaded_only=True)) == 1
 
 
-class TestLogQueries:
-    def test_entries_for_lba(self):
-        log = OperationLog()
-        log.on_host_op(host_op(0, lba=5))
-        log.on_host_op(host_op(1, lba=9))
-        log.on_host_op(host_op(2, lba=5, op_type=HostOpType.READ))
-        entries = log.entries_for_lba(5)
-        assert [entry.sequence for entry in entries] == [0, 2]
-
-    def test_entries_for_multi_page_op_indexed_for_every_lba(self):
-        log = OperationLog()
-        op = HostOp(0, HostOpType.WRITE, lba=10, npages=3, timestamp_us=0, latency_us=1.0,
-                    content=PageContent.synthetic(1, 4096), stream_id=1)
-        log.on_host_op(op)
-        assert log.entries_for_lba(12)
-        assert not log.entries_for_lba(13)
-
-
 class TestLogIntegrity:
     def test_verify_clean_log(self):
         log = OperationLog(segment_entries=16)

@@ -94,9 +94,10 @@ class TestRSSDFacade:
 
     def test_services_are_constructible(self, rssd):
         rssd.write(0, b"x")
-        assert ForensicsEngine(rssd).recovery() is not None
-        assert rssd.analyzer() is not None
-        assert rssd.remote_detector() is not None
+        engine = ForensicsEngine(rssd)
+        assert engine.recovery() is not None
+        assert engine.classify().pattern == "none"
+        assert not rssd.detect().detected
 
     def test_doctest_example_in_module(self):
         rssd = build_rssd(RSSDConfig.small())

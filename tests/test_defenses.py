@@ -259,8 +259,7 @@ class TestRSSDDefenseAdapter:
                 recovered += 1
         assert recovered == len(outcome.victim_lbas)
         assert defense.detect()
-        report = defense.forensic_report()
-        assert report.chain_verified
+        assert defense.forensics_engine().verify_chain().chain_verified
 
     def test_adapter_reports_hardware_isolation(self):
         defense = RSSDDefense(geometry=SSDGeometry.tiny())

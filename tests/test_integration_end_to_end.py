@@ -72,9 +72,9 @@ def test_full_loop_every_attack_is_recovered_and_attributed(attack_factory):
     #    verifies and points at the right stream.
     detection = rssd.detect()
     assert detection.detected
-    investigation = rssd.investigate()
-    assert investigation.chain_verified
-    assert env.attacker_stream in investigation.suspected_streams
+    engine = ForensicsEngine(rssd)
+    assert engine.verify_chain().chain_verified
+    assert env.attacker_stream in engine.classify().malicious_streams
 
 
 def test_background_workload_interleaved_with_attack_still_recovers_cleanly():
