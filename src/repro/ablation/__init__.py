@@ -38,7 +38,6 @@ from repro.ablation.experiments import (
 from repro.ablation.metrics import (
     FeatureImpact,
     calculate_metrics,
-    compare_configs,
     render_impact_csv,
     render_impact_markdown,
     render_impact_table,
@@ -72,7 +71,6 @@ __all__ = [
     "TrimAblationRow",
     "apply_ablation",
     "calculate_metrics",
-    "compare_configs",
     "feature_names",
     "render_impact_csv",
     "render_impact_markdown",

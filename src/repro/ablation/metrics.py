@@ -137,51 +137,6 @@ def calculate_metrics(artifact: AblationArtifact) -> List[FeatureImpact]:
     return impacts
 
 
-def compare_configs(
-    artifact: AblationArtifact, label_a: str, label_b: str
-) -> Dict[str, Dict[str, object]]:
-    """Field-by-field comparison of two configs, per attack.
-
-    Returns ``{attack: {field: a_value - b_value}}`` for the numeric
-    result fields (recovery, detection, overhead, data loss), with the
-    detection-latency delta ``None`` when either side lacks a latency.
-    Raises ``KeyError`` if a label is absent for some attack.
-    """
-    numeric_fields = (
-        "recovery_fraction",
-        "write_amplification",
-        "mean_write_latency_us",
-        "mean_read_latency_us",
-        "host_commands",
-        "flash_pages_programmed",
-        "data_loss_pages",
-        "pages_offloaded_remote",
-    )
-    by_attack: Dict[str, Dict[str, AblationCellResult]] = {}
-    for cell in artifact.cells:
-        by_attack.setdefault(cell.attack, {})[cell.config] = cell
-    comparison: Dict[str, Dict[str, object]] = {}
-    for attack in sorted(by_attack):
-        configs = by_attack[attack]
-        if label_a not in configs:
-            raise KeyError(f"no config {label_a!r} for attack {attack!r}")
-        if label_b not in configs:
-            raise KeyError(f"no config {label_b!r} for attack {attack!r}")
-        a, b = configs[label_a], configs[label_b]
-        deltas: Dict[str, object] = {
-            name: getattr(a, name) - getattr(b, name) for name in numeric_fields
-        }
-        deltas["detected"] = float(a.detected) - float(b.detected)
-        if a.detection_latency_us is not None and b.detection_latency_us is not None:
-            deltas["detection_latency_us"] = float(
-                a.detection_latency_us - b.detection_latency_us
-            )
-        else:
-            deltas["detection_latency_us"] = None
-        comparison[attack] = deltas
-    return comparison
-
-
 _IMPACT_HEADERS = (
     "feature",
     "attack",

@@ -115,11 +115,6 @@ class AblationArtifact:
         """All cell keys, in the sorted artifact order."""
         return [result.cell_key for result in self.cells]
 
-    @property
-    def config_labels(self) -> List[str]:
-        """The distinct config labels present, sorted."""
-        return sorted({result.config for result in self.cells})
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready view: version, base spec, sweep, sorted cells."""
         return {

@@ -18,7 +18,7 @@ from repro.analysis.retention import (
     retention_days_rssd,
 )
 from repro.analysis.reporting import format_csv, format_markdown_table, format_table
-from repro.analysis.stats import geometric_mean, mean, median, relative_overhead, stdev
+from repro.analysis.stats import mean, median, relative_overhead
 
 __all__ = [
     "FigureTwoRow",
@@ -27,12 +27,10 @@ __all__ = [
     "format_csv",
     "format_markdown_table",
     "format_table",
-    "geometric_mean",
     "mean",
     "median",
     "relative_overhead",
     "retention_days_local",
     "retention_days_local_compressed",
     "retention_days_rssd",
-    "stdev",
 ]

@@ -27,38 +27,6 @@ from repro.workloads.synthetic import ZipfianWorkload, profile_workload
 
 
 # ---------------------------------------------------------------------------
-# F2: the retention model's key input
-# ---------------------------------------------------------------------------
-
-def measure_stale_production(
-    volume: str,
-    duration_s: float = 2.0,
-    geometry: Optional[SSDGeometry] = None,
-    seed: int = 5,
-) -> float:
-    """Validate the analytic model's key input against a simulated replay.
-
-    Returns the measured ratio of stale pages produced per host page
-    written for a short, time-compressed replay of the volume's profile.
-    """
-    geometry = geometry if geometry is not None else SSDGeometry.small()
-    device = SSD(geometry=geometry)
-    profile = lookup_volume(volume)
-    records = profile_workload(
-        profile,
-        capacity_pages=geometry.exported_pages // 2,
-        duration_s=duration_s,
-        seed=seed,
-        time_compression=20_000.0,
-    )
-    replayer = TraceReplayer(device)
-    result = replayer.replay(records)
-    if result.pages_written == 0:
-        return 0.0
-    return device.ftl.stats.stale_pages_created / result.pages_written
-
-
-# ---------------------------------------------------------------------------
 # P1: storage performance overhead
 # ---------------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ simulated replays in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.workloads.fiu import FIU_VOLUMES, figure2_volumes
 from repro.workloads.msr import MSR_VOLUMES
@@ -160,16 +160,3 @@ def figure2_rows(
             )
         )
     return rows
-
-
-def figure2_summary(rows: List[FigureTwoRow]) -> Dict[str, float]:
-    """Headline numbers quoted in the paper's performance summary."""
-    return {
-        "min_rssd_days": min(row.rssd_days for row in rows),
-        "mean_rssd_days": sum(row.rssd_days for row in rows) / len(rows),
-        "max_local_days": max(row.local_days for row in rows),
-        "mean_local_days": sum(row.local_days for row in rows) / len(rows),
-        "volumes_with_rssd_over_200_days": float(
-            sum(1 for row in rows if row.rssd_days >= 200.0)
-        ),
-    }

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 
@@ -21,25 +20,6 @@ def median(values: Sequence[float]) -> float:
     if len(ordered) % 2 == 1:
         return ordered[middle]
     return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def stdev(values: Sequence[float]) -> float:
-    """Population standard deviation (0.0 for fewer than two samples)."""
-    values = list(values)
-    if len(values) < 2:
-        return 0.0
-    center = mean(values)
-    return math.sqrt(sum((value - center) ** 2 for value in values) / len(values))
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; every value must be positive."""
-    values = list(values)
-    if not values:
-        return 0.0
-    if any(value <= 0 for value in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(value) for value in values) / len(values))
 
 
 def relative_overhead(baseline: float, measured: float) -> float:

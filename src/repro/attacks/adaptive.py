@@ -10,7 +10,7 @@ implemented, all sharing one :class:`EvasionPolicy` knob set:
 
 * :class:`EntropyMimicryAttack` -- compress-then-encrypt, then re-encode
   the ciphertext into a restricted alphabet so every written page holds
-  its entropy *just under* the classifier threshold.
+  its entropy *just under* the detectors' absolute threshold.
 * :class:`IntermittentEncryptionAttack` -- encrypt only every k-th page
   of each file, diluting the windowed high-entropy fraction below the
   detector's trigger while still destroying enough of every file.
@@ -219,12 +219,12 @@ class AdaptiveAttack(RansomwareAttack):
 class EntropyMimicryAttack(AdaptiveAttack):
     """In-place encryption that holds every write under the entropy line.
 
-    The bypass this attack exploits is the one this PR's detector fix
-    closes: pre-fix, the entropy classifier flagged only writes at or
-    above the *absolute* threshold, so shaped ciphertext at ~7.0
-    bits/byte sailed through.  Post-fix, the entropy-*jump* trigger
-    catches the ~+2.8 bits/byte rise over the text it replaces -- unless
-    the attacker pays for stronger shaping (:meth:`EvasionPolicy.strong`).
+    The bypass this attack exploits is the one an absolute-threshold
+    entropy rule leaves open: it flags only writes at or above the
+    *absolute* threshold, so shaped ciphertext at ~7.0 bits/byte sails
+    through.  The entropy-*jump* trigger catches the ~+2.8 bits/byte
+    rise over the text it replaces -- unless the attacker pays for
+    stronger shaping (:meth:`EvasionPolicy.strong`).
     """
 
     name = "entropy-mimicry"

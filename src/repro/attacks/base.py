@@ -71,11 +71,6 @@ class AttackOutcome:
         """Length of the attack in simulated microseconds."""
         return max(0, self.end_us - self.start_us)
 
-    @property
-    def victim_page_count(self) -> int:
-        """Distinct logical pages that held victim data pre-attack."""
-        return len(self.victim_lbas)
-
 
 class RansomwareAttack(ABC):
     """Base class for every attack model.

@@ -110,8 +110,3 @@ def make_attack(profile: AttackProfile, seed: int = 97) -> RansomwareAttack:
             inter_file_delay_us=profile.inter_file_delay_us, seed=seed
         )
     raise ValueError(f"unknown attack class {profile.attack_class!r}")
-
-
-def family_names() -> list:
-    """All known family names, sorted."""
-    return sorted(ATTACK_PROFILES)

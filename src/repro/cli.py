@@ -344,6 +344,11 @@ def _cmd_recover(args: argparse.Namespace) -> str:
 
     if args.apply and args.to is None:
         raise SystemExit("--apply only makes sense with --to (nothing was applied)")
+    if args.json and (args.verify_chain or args.list_snapshots):
+        raise SystemExit(
+            "--json applies to the default report and to --to, not to "
+            "--verify-chain or --list-snapshots"
+        )
     grid = CampaignGrid.tiny() if args.grid == "tiny" else CampaignGrid()
     matches = [spec for spec in grid.cells() if spec.cell_key == args.cell]
     if not matches:
@@ -442,17 +447,19 @@ def _cmd_recover(args: argparse.Namespace) -> str:
         sections.append(
             f"recovery transfer time: {format_duration(int(image.duration_us))}"
         )
-        if not exact:
-            if args.apply:
-                sections.append(
-                    "refusing --apply: the rebuilt image is not exact; the "
-                    "device was left untouched"
-                )
-            print("\n\n".join(sections))
-            raise SystemExit(1)
-        if args.apply:
+        if args.apply and not exact:
+            sections.append(
+                "refusing --apply: the rebuilt image is not exact; the "
+                "device was left untouched"
+            )
+        elif args.apply:
             written = engine.recovery().apply(image)
             sections.append(f"applied: {written} pages written back to the device")
+        if args.json:
+            sections.append(report.to_json().rstrip("\n"))
+        if not exact:
+            print("\n\n".join(sections))
+            raise SystemExit(1)
         return "\n\n".join(sections)
 
     # Default action: the full forensic report (canonical JSON + summary).
@@ -1197,7 +1204,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument(
         "--json", action="store_true",
-        help="append the canonical JSON forensic report to the output",
+        help="append the canonical JSON forensic report to the output "
+             "(the default report and --to; not with --verify-chain or "
+             "--list-snapshots)",
     )
     recover.set_defaults(func=_cmd_recover)
 

@@ -365,11 +365,6 @@ class ConfusionMatrix:
         flagged = self.true_positives + self.false_positives
         return self.true_positives / flagged if flagged else 0.0
 
-    @property
-    def youden_j(self) -> float:
-        """TPR - FPR: the threshold-quality score ROC operating points maximise."""
-        return self.true_positive_rate - self.false_positive_rate
-
 
 @dataclass(frozen=True)
 class DetectionSample:
@@ -410,11 +405,6 @@ class DetectionTraceObserver:
         entropy = op.content.entropy
         delta = self._jump_tracker.observe(op.lba, entropy)
         self._writes.append((op.timestamp_us, op.stream_id, op.lba, entropy, delta))
-
-    @property
-    def writes_recorded(self) -> int:
-        """Number of write operations captured so far."""
-        return len(self._writes)
 
     def samples(self, malicious_streams: Iterable[int]) -> List[DetectionSample]:
         """Label the recorded writes against ``malicious_streams``."""
@@ -496,7 +486,7 @@ DETECTOR_THRESHOLDS: Dict[str, Tuple[float, ...]] = {
 #: The thresholds the deployed detectors actually run at; ROC quality
 #: tables report the operating point alongside the full curve.  The
 #: entropy and jump defaults are the shared ``repro.crypto.entropy``
-#: constants, so the live classifier, the forensic profiler and the
+#: constants, so the live detectors, the forensic profiler and the
 #: sweeps stay in lockstep when tuned.
 DETECTOR_DEFAULTS: Dict[str, float] = {
     "entropy": DEFAULT_ENCRYPTED_THRESHOLD,

@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
-import numpy as np
-
 from repro.ssd.ftl import FTL, InvalidationCause, StalePage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -189,11 +187,6 @@ class RetentionManager:
             batch.append(record)
         return batch
 
-    def requeue(self, records: List[StalePage]) -> None:
-        """Put records back at the head of the queue (offload failure path)."""
-        for record in reversed(records):
-            self._pending.appendleft(record)
-
     def mark_offloaded(self, records: List[StalePage]) -> None:
         """Mark records as durably stored on the remote tier."""
         for record in records:
@@ -201,30 +194,6 @@ class RetentionManager:
             self.stats.pages_offloaded += 1
 
     # -- queries -----------------------------------------------------------------------
-
-    def retained_entropy_profile(
-        self, ftl: FTL, encrypted_threshold: float = 7.2
-    ) -> Dict[str, float]:
-        """Vectorized entropy profile of the locally retained stale pool.
-
-        With RSSD's retain-everything policy the FTL's stale pool *is*
-        the retained set, so the profile aggregates straight off the
-        simulation kernel's per-page entropy column (mean entropy and
-        encrypted-looking fraction) without walking the record objects
-        -- the accounting that post-attack forensics and the detection
-        quality reports summarise.
-        """
-        return ftl.stale_entropy_profile(encrypted_threshold)
-
-    def pending_entropy_profile(
-        self, ftl: FTL, encrypted_threshold: float = 7.2
-    ) -> Dict[str, float]:
-        """Same profile restricted to pages still waiting for offload."""
-        ppns = np.fromiter(
-            (record.ppn for record in self._pending if not record.offloaded),
-            dtype=np.int64,
-        )
-        return ftl.kernel.entropy_profile(ppns, encrypted_threshold)
 
     @property
     def pending_pages(self) -> int:
@@ -236,10 +205,6 @@ class RetentionManager:
         engine polls this on every drain, so it must not rescan).
         """
         return len(self._pending)
-
-    @property
-    def archived_lbas(self) -> int:
-        return len(self._archive)
 
     @property
     def archived_versions(self) -> int:

@@ -17,11 +17,10 @@ from repro.crypto.compression import CompressionModel, Compressor, CompressionRe
 from repro.crypto.entropy import (
     DEFAULT_ENCRYPTED_THRESHOLD,
     DEFAULT_JUMP_THRESHOLD,
-    EntropyClassifier,
     EntropyJumpTracker,
     EntropyWindow,
 )
-from repro.crypto.hashing import HashChain, MerkleTree, chain_digest
+from repro.crypto.hashing import HashChain, chain_digest
 
 __all__ = [
     "CompressionModel",
@@ -29,11 +28,9 @@ __all__ = [
     "Compressor",
     "DEFAULT_ENCRYPTED_THRESHOLD",
     "DEFAULT_JUMP_THRESHOLD",
-    "EntropyClassifier",
     "EntropyJumpTracker",
     "EntropyWindow",
     "HashChain",
-    "MerkleTree",
     "StreamCipher",
     "chain_digest",
     "keystream_bytes",

@@ -1,86 +1,29 @@
-"""Entropy estimation used by ransomware detectors.
+"""Entropy thresholds and trackers used by ransomware detectors.
 
 Detection baselines (UNVEIL, CryptoDrop, SSDInsider) flag writes whose
-content entropy jumps relative to the data being replaced.  The
-classifier here works on either real payloads or descriptor-only pages
-(which carry a pre-computed entropy estimate).
+content entropy is high, or jumps relative to the data being replaced.
+This module holds the thresholds those detectors run at, the per-LBA
+jump tracker and the sliding entropy window; the entropy of a page
+itself is :func:`repro.ssd.flash.shannon_entropy`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Optional
 
-from repro.ssd.flash import PageContent, shannon_entropy
+# Re-bound here for the benchmark tracer, which declares
+# ``repro.crypto.entropy:shannon_entropy`` as a boundary and resolves it
+# with ``getattr`` on this module.
+from repro.ssd.flash import shannon_entropy  # noqa: F401
 
 #: Entropy (bits/byte) at or above which a write looks encrypted; the
-#: deployed default shared by the classifier, the forensic profiler and
-#: the detection-quality sweeps.
+#: deployed default shared by the live detectors, the forensic profiler
+#: and the detection-quality sweeps.
 DEFAULT_ENCRYPTED_THRESHOLD = 7.2
 #: Entropy rise over the replaced data that counts as a jump; shared the
 #: same way, so tuning it re-tunes every consumer together.
 DEFAULT_JUMP_THRESHOLD = 2.0
-
-
-@dataclass(frozen=True)
-class EntropyVerdict:
-    """Result of classifying one write."""
-
-    entropy: float
-    looks_encrypted: bool
-    delta_vs_previous: Optional[float] = None
-
-
-class EntropyClassifier:
-    """Classify page contents as plausibly-encrypted or not.
-
-    Two triggers are combined when the replaced data is available:
-
-    * **absolute** -- the write's entropy reaches ``encrypted_threshold``
-      (and did not *drop* relative to the data it replaces);
-    * **jump** -- the write's entropy rose by at least ``jump_threshold``
-      over the replaced data, even if the absolute level stays under the
-      threshold.  This is what catches entropy-mimicry attacks that
-      deliberately hold their output just below the absolute line.
-    """
-
-    def __init__(
-        self,
-        encrypted_threshold: float = DEFAULT_ENCRYPTED_THRESHOLD,
-        jump_threshold: float = DEFAULT_JUMP_THRESHOLD,
-    ) -> None:
-        if not 0.0 < encrypted_threshold <= 8.0:
-            raise ValueError("encrypted_threshold must be within (0, 8]")
-        if jump_threshold < 0.0:
-            raise ValueError("jump_threshold must be non-negative")
-        self.encrypted_threshold = encrypted_threshold
-        self.jump_threshold = jump_threshold
-
-    def entropy_of(self, content: PageContent) -> float:
-        """Entropy of a page, computed from bytes when available."""
-        if content.payload is not None:
-            return shannon_entropy(content.payload)
-        return content.entropy
-
-    def classify(
-        self, content: PageContent, previous: Optional[PageContent] = None
-    ) -> EntropyVerdict:
-        """Classify a write, optionally comparing against the data it replaces."""
-        entropy = self.entropy_of(content)
-        delta = None
-        looks_encrypted = entropy >= self.encrypted_threshold
-        if previous is not None:
-            delta = entropy - self.entropy_of(previous)
-            if delta < 0.0:
-                # Entropy dropped relative to the replaced data: whatever
-                # this write is, it is not an encryption of it.
-                looks_encrypted = False
-            else:
-                looks_encrypted = looks_encrypted or delta >= self.jump_threshold
-        return EntropyVerdict(
-            entropy=entropy, looks_encrypted=looks_encrypted, delta_vs_previous=delta
-        )
 
 
 class EntropyJumpTracker:

@@ -1,4 +1,4 @@
-"""Hash chains and Merkle trees for the trusted evidence chain.
+"""The hash chain behind the trusted evidence chain.
 
 RSSD folds every logged storage operation into a SHA-256 hash chain and
 periodically seals checkpoints.  During post-attack analysis the chain
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 GENESIS = b"rssd-evidence-chain-genesis"
 
@@ -90,63 +90,3 @@ class HashChain:
             if expected is not None and expected != head:
                 return index
         return None
-
-
-class MerkleTree:
-    """A binary Merkle tree over a list of leaf payloads.
-
-    Used to seal offload containers: the remote tier stores the root so
-    individual retained pages can later be proven to belong to the
-    container without shipping the whole container back.
-    """
-
-    def __init__(self, leaves: Sequence[bytes]) -> None:
-        if not leaves:
-            raise ValueError("a Merkle tree needs at least one leaf")
-        self._leaf_digests = [hashlib.sha256(leaf).digest() for leaf in leaves]
-        self._levels: List[List[bytes]] = [list(self._leaf_digests)]
-        current = self._levels[0]
-        while len(current) > 1:
-            parents: List[bytes] = []
-            for index in range(0, len(current), 2):
-                left = current[index]
-                right = current[index + 1] if index + 1 < len(current) else left
-                parents.append(hashlib.sha256(left + right).digest())
-            self._levels.append(parents)
-            current = parents
-
-    @property
-    def root(self) -> bytes:
-        return self._levels[-1][0]
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self._leaf_digests)
-
-    def proof(self, index: int) -> List[Tuple[bytes, bool]]:
-        """Inclusion proof for leaf ``index`` as (sibling digest, sibling-is-right)."""
-        if not 0 <= index < self.leaf_count:
-            raise IndexError("leaf index out of range")
-        proof: List[Tuple[bytes, bool]] = []
-        position = index
-        for level in self._levels[:-1]:
-            sibling_index = position + 1 if position % 2 == 0 else position - 1
-            if sibling_index >= len(level):
-                sibling_index = position
-            sibling_is_right = sibling_index > position
-            proof.append((level[sibling_index], sibling_is_right))
-            position //= 2
-        return proof
-
-    @staticmethod
-    def verify_proof(
-        leaf: bytes, proof: Sequence[Tuple[bytes, bool]], root: bytes
-    ) -> bool:
-        """Check an inclusion proof produced by :meth:`proof`."""
-        digest = hashlib.sha256(leaf).digest()
-        for sibling, sibling_is_right in proof:
-            if sibling_is_right:
-                digest = hashlib.sha256(digest + sibling).digest()
-            else:
-                digest = hashlib.sha256(sibling + digest).digest()
-        return digest == root

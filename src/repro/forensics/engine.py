@@ -57,16 +57,25 @@ class ForensicsEngine:
     def __init__(self, rssd: RSSD) -> None:
         self.rssd = rssd
         self._timeline: Optional[OperationTimeline] = None
+        self._timeline_entries = 0
 
     # -- evidence ---------------------------------------------------------
 
     @property
     def timeline(self) -> OperationTimeline:
-        """The verified per-LBA timeline (built once, then cached)."""
-        if self._timeline is None:
+        """The verified per-LBA timeline.
+
+        Cached, and rebuilt whenever the log's entry count differs from
+        the count at the build, so traffic logged since -- later host
+        I/O, or a recovery applied through this engine -- is never
+        missed.
+        """
+        entries = self.rssd.oplog.total_entries
+        if self._timeline is None or self._timeline_entries != entries:
             self._timeline = OperationTimeline.from_oplog(
                 self.rssd.oplog, self.rssd.retention
             )
+            self._timeline_entries = entries
         return self._timeline
 
     def verify_chain(self) -> ChainStatus:

@@ -21,9 +21,6 @@ from repro.core.oplog import LogEntry, OperationLog
 from repro.core.retention import RetentionManager
 from repro.ssd.device import HostOpType
 
-#: Sentinel fingerprint meaning "the page is unmapped at this point".
-UNMAPPED = None
-
 
 @dataclass(frozen=True)
 class TimelineEvent:
@@ -101,19 +98,6 @@ class LBAHistory:
             if event.destroys_data:
                 governing = event
         return governing
-
-    def state_at(self, timestamp_us: int) -> Optional[int]:
-        """Expected fingerprint of the page at ``timestamp_us``.
-
-        ``None`` means unmapped (never written, or last op was a trim)
-        -- or written by an event whose aggregated log entry does not
-        carry this page's hash; use :meth:`governing_event` when that
-        distinction matters.
-        """
-        event = self.governing_event(timestamp_us)
-        if event is None or event.op_type is HostOpType.TRIM:
-            return UNMAPPED
-        return event.fingerprint
 
 
 class OperationTimeline:
@@ -251,25 +235,6 @@ class OperationTimeline:
                 if event.destroys_data and (wanted is None or event.stream_id in wanted)
             }
         )
-
-    def image_at(self, timestamp_us: int) -> Dict[int, Optional[int]]:
-        """Expected device image (lba -> fingerprint) as of ``timestamp_us``.
-
-        Pages absent from the mapping were never touched; a ``None``
-        value means the page was written at some point but is unmapped
-        (trimmed) at the target time.
-        """
-        image: Dict[int, Optional[int]] = {}
-        for lba, history in self._histories.items():
-            event = history.governing_event(timestamp_us)
-            if event is None:
-                # Never written or trimmed by the target time (reads
-                # alone do not put a page in the image).
-                continue
-            image[lba] = (
-                UNMAPPED if event.op_type is HostOpType.TRIM else event.fingerprint
-            )
-        return image
 
     @property
     def span_us(self) -> int:

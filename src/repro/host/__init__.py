@@ -11,21 +11,17 @@ scenarios need:
   ransomware samples can attack real files with real bytes and the
   recovery experiments can check content round-trips.
 * :mod:`repro.host.process` -- processes that own I/O streams.
-* :mod:`repro.host.scheduler` -- interleaving of multiple streams into
-  the single command queue the device sees.
 """
 
 from repro.host.blockdev import HostBlockDevice
 from repro.host.filesystem import FileRecord, FileSystemError, SimpleFS
 from repro.host.process import IOProcess, ProcessRegistry
-from repro.host.scheduler import IOScheduler
 
 __all__ = [
     "FileRecord",
     "FileSystemError",
     "HostBlockDevice",
     "IOProcess",
-    "IOScheduler",
     "ProcessRegistry",
     "SimpleFS",
 ]

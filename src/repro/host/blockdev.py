@@ -86,12 +86,5 @@ class HostBlockDevice:
         """Issue a trim for ``npages`` pages starting at ``lba``."""
         self.ssd.trim(lba, npages, stream_id=self.stream_id)
 
-    def trim_bytes(self, offset: int, length: int) -> None:
-        """Trim every page fully covered by the byte range."""
-        first_page = (offset + self.page_size - 1) // self.page_size
-        last_page = (offset + length) // self.page_size
-        if last_page > first_page:
-            self.ssd.trim(first_page, last_page - first_page, stream_id=self.stream_id)
-
     def flush(self) -> None:
         self.ssd.flush(stream_id=self.stream_id)

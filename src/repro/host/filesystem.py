@@ -35,11 +35,6 @@ class FileRecord:
     reserved_pages: int
     size_bytes: int
 
-    @property
-    def end_lba(self) -> int:
-        """First LBA past the file's extent."""
-        return self.start_lba + self.reserved_pages
-
 
 class SimpleFS:
     """An extent-based file system over a :class:`HostBlockDevice`."""
@@ -157,17 +152,6 @@ class SimpleFS:
         if trim:
             self.blockdev.trim_pages(record.start_lba, record.reserved_pages)
         self._free_extents.append((record.start_lba, record.reserved_pages))
-        return record
-
-    def rename_file(self, old: str, new: str) -> FileRecord:
-        """Rename ``old`` to ``new`` (metadata only)."""
-        if new in self._files:
-            raise FileSystemError(f"target already exists: {new}")
-        record = self._files.pop(old, None)
-        if record is None:
-            raise FileSystemError(f"no such file: {old}")
-        record.name = new
-        self._files[new] = record
         return record
 
     def file_lbas(self, name: str) -> List[int]:

@@ -5,9 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.workloads.records import TraceRecord
+from typing import Dict, List
 
 
 class Privilege(enum.Enum):
@@ -33,21 +31,6 @@ class IOProcess:
     stream_id: int
     privilege: Privilege = Privilege.USER
     is_malicious: bool = False
-
-    def records_with_stream(self, records: List[TraceRecord]) -> List[TraceRecord]:
-        """Re-tag trace records with this process's stream id."""
-        return [
-            TraceRecord(
-                timestamp_us=record.timestamp_us,
-                op=record.op,
-                lba=record.lba,
-                npages=record.npages,
-                stream_id=self.stream_id,
-                entropy=record.entropy,
-                compress_ratio=record.compress_ratio,
-            )
-            for record in records
-        ]
 
 
 class ProcessRegistry:
@@ -76,17 +59,6 @@ class ProcessRegistry:
         self._processes[pid] = process
         return process
 
-    def kill(self, pid: int) -> Optional[IOProcess]:
-        """Remove a process (ransomware killing a backup agent, say)."""
-        return self._processes.pop(pid, None)
-
-    def by_stream(self, stream_id: int) -> Optional[IOProcess]:
-        """Look up the process that owns a stream id."""
-        for process in self._processes.values():
-            if process.stream_id == stream_id:
-                return process
-        return None
-
     def malicious_streams(self) -> List[int]:
         """Stream ids owned by known-malicious processes (ground truth)."""
         return [
@@ -97,6 +69,3 @@ class ProcessRegistry:
 
     def __len__(self) -> int:
         return len(self._processes)
-
-    def processes(self) -> List[IOProcess]:
-        return list(self._processes.values())

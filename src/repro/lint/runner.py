@@ -9,7 +9,6 @@ once to follow cross-module reachability).
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -122,12 +121,3 @@ def lint_paths(
             )
         )
     return sort_findings(findings)
-
-
-def parse_ok(source: str) -> bool:
-    """True when ``source`` parses as Python (used by fixtures/tests)."""
-    try:
-        ast.parse(source)
-    except SyntaxError:
-        return False
-    return True

@@ -5,7 +5,8 @@ buffers directly to the SSD controller (Figure 1), so retained pages
 and log segments can be shipped to remote cloud/storage servers without
 traversing the (untrusted) host.  This package models that path:
 
-* :mod:`repro.nvmeoe.frame` -- Ethernet framing and MTU fragmentation.
+* :mod:`repro.nvmeoe.frame` -- the wire cost of Ethernet framing and
+  MTU fragmentation.
 * :mod:`repro.nvmeoe.nic` -- the embedded NIC (rings + DMA) with the
   firmware-only access control that provides hardware isolation.
 * :mod:`repro.nvmeoe.link` -- a bandwidth/latency link model.
@@ -14,7 +15,7 @@ traversing the (untrusted) host.  This package models that path:
   and an append-only storage server.
 """
 
-from repro.nvmeoe.frame import ETHERNET_HEADER_BYTES, EthernetFrame, fragment_payload
+from repro.nvmeoe.frame import ETHERNET_HEADER_BYTES
 from repro.nvmeoe.link import LinkStats, NetworkLink
 from repro.nvmeoe.nic import EmbeddedNIC, FirmwareToken
 from repro.nvmeoe.protocol import Capsule, CapsuleType, NVMeOEProtocol
@@ -25,7 +26,6 @@ __all__ = [
     "CapsuleType",
     "ETHERNET_HEADER_BYTES",
     "EmbeddedNIC",
-    "EthernetFrame",
     "FirmwareToken",
     "LinkStats",
     "NetworkLink",
@@ -34,5 +34,4 @@ __all__ = [
     "RemoteObject",
     "StorageServer",
     "TieredRemote",
-    "fragment_payload",
 ]

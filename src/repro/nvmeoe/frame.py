@@ -1,75 +1,17 @@
-"""Ethernet framing for the NVMe-oE path."""
+"""Ethernet framing cost of the NVMe-oE path."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 ETHERNET_HEADER_BYTES = 18  # dst MAC + src MAC + ethertype + FCS
 DEFAULT_MTU = 1500
-JUMBO_MTU = 9000
-NVME_OE_ETHERTYPE = 0x88FF
-
-
-@dataclass(frozen=True)
-class EthernetFrame:
-    """One Ethernet frame carrying a slice of an NVMe-oE capsule."""
-
-    src_mac: str
-    dst_mac: str
-    payload_size: int
-    sequence: int = 0
-    ethertype: int = NVME_OE_ETHERTYPE
-
-    def __post_init__(self) -> None:
-        if self.payload_size < 0:
-            raise ValueError("payload_size must be non-negative")
-        if not self.src_mac or not self.dst_mac:
-            raise ValueError("frames need source and destination MAC addresses")
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire including the Ethernet header and FCS."""
-        return self.payload_size + ETHERNET_HEADER_BYTES
-
-
-def fragment_payload(
-    payload_bytes: int,
-    mtu: int = DEFAULT_MTU,
-    src_mac: str = "02:00:00:00:00:01",
-    dst_mac: str = "02:00:00:00:00:02",
-) -> List[EthernetFrame]:
-    """Split a capsule of ``payload_bytes`` into MTU-sized frames."""
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be non-negative")
-    if mtu < 64:
-        raise ValueError("mtu must be at least 64 bytes")
-    if payload_bytes == 0:
-        return []
-    frames: List[EthernetFrame] = []
-    remaining = payload_bytes
-    sequence = 0
-    while remaining > 0:
-        chunk = min(remaining, mtu)
-        frames.append(
-            EthernetFrame(
-                src_mac=src_mac,
-                dst_mac=dst_mac,
-                payload_size=chunk,
-                sequence=sequence,
-            )
-        )
-        remaining -= chunk
-        sequence += 1
-    return frames
 
 
 def wire_bytes_for_payload(payload_bytes: int, mtu: int = DEFAULT_MTU) -> int:
     """Total bytes on the wire (payload + per-frame headers) for a capsule.
 
-    Closed form of summing :func:`fragment_payload` frame sizes -- the
-    offload path computes this for every capsule, so it must not
-    materialise the frame list.
+    A capsule is split into MTU-sized frames, each carrying its own
+    Ethernet header and FCS.  The offload path computes this for every
+    capsule, so it is a closed form that builds no frame objects.
     """
     if payload_bytes < 0:
         raise ValueError("payload_bytes must be non-negative")

@@ -124,8 +124,3 @@ class EmbeddedNIC:
         self.stats.rx_payload_bytes += payload_bytes
         completion = self.link.transfer(payload_bytes)
         return completion + self.dma_latency_us(payload_bytes)
-
-    @property
-    def tx_backlog(self) -> int:
-        """Descriptors currently queued in the TX ring."""
-        return len(self._tx_ring)

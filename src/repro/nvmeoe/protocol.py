@@ -1,16 +1,15 @@
 """NVMe-over-Ethernet protocol capsules.
 
 The offload engine packs retained pages and log segments into capsules;
-the protocol layer sizes the capsules (headers, per-entry metadata) and
-serialises small control capsules for the remote end.  Absolute byte
-layouts are not important to the results -- capsule *sizes* are, since
-they determine link utilisation and therefore retention time.
+the protocol layer sizes the capsules (headers, per-entry metadata).
+Absolute byte layouts are not important to the results -- capsule
+*sizes* are, since they determine link utilisation and therefore
+retention time.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -59,29 +58,6 @@ class Capsule:
             CAPSULE_HEADER_BYTES
             + self.entries * ENTRY_METADATA_BYTES
             + self.payload_bytes
-        )
-
-    def to_control_json(self) -> bytes:
-        """Serialise the control portion (no body) for remote bookkeeping."""
-        control = {
-            "type": self.capsule_type.value,
-            "sequence": self.sequence,
-            "payload_bytes": self.payload_bytes,
-            "entries": self.entries,
-            "metadata": self.metadata,
-        }
-        return json.dumps(control, sort_keys=True).encode("utf-8")
-
-    @classmethod
-    def from_control_json(cls, raw: bytes) -> "Capsule":
-        """Rebuild a capsule's control portion from :meth:`to_control_json`."""
-        control = json.loads(raw.decode("utf-8"))
-        return cls(
-            capsule_type=CapsuleType(control["type"]),
-            sequence=int(control["sequence"]),
-            payload_bytes=int(control["payload_bytes"]),
-            entries=int(control["entries"]),
-            metadata=dict(control.get("metadata", {})),
         )
 
 

@@ -7,8 +7,7 @@ event ordering is exact and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List
 
 US_PER_MS = 1_000
 US_PER_SECOND = 1_000_000
@@ -60,73 +59,6 @@ class SimClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"SimClock(now_us={self._now_us})"
-
-
-@dataclass(order=True)
-class _Event:
-    timestamp_us: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-
-
-class EventQueue:
-    """A tiny discrete-event queue layered on top of :class:`SimClock`.
-
-    Most of the simulator is trace driven (the caller replays a trace
-    record by record), but background activities -- garbage collection,
-    offload draining, periodic checkpoints -- are naturally expressed as
-    scheduled events.  The queue keeps events sorted by timestamp and
-    breaks ties by insertion order so runs are deterministic.
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self._events: List[_Event] = []
-        self._sequence = 0
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def schedule(self, delay_us: int, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to run ``delay_us`` after the current time."""
-        if delay_us < 0:
-            raise ValueError("cannot schedule an event in the past")
-        self.schedule_at(self._clock.now_us + delay_us, callback)
-
-    def schedule_at(self, timestamp_us: int, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at an absolute timestamp."""
-        if timestamp_us < self._clock.now_us:
-            raise ValueError("cannot schedule an event in the past")
-        import heapq
-
-        heapq.heappush(
-            self._events, _Event(int(timestamp_us), self._sequence, callback)
-        )
-        self._sequence += 1
-
-    def run_until(self, timestamp_us: int) -> int:
-        """Run every event scheduled at or before ``timestamp_us``.
-
-        Returns the number of events executed.  The clock is advanced to
-        each event's timestamp before its callback runs and finally to
-        ``timestamp_us``.
-        """
-        import heapq
-
-        executed = 0
-        while self._events and self._events[0].timestamp_us <= timestamp_us:
-            event = heapq.heappop(self._events)
-            self._clock.advance_to(event.timestamp_us)
-            event.callback()
-            executed += 1
-        self._clock.advance_to(timestamp_us)
-        return executed
-
-    def next_timestamp(self) -> Optional[int]:
-        """Timestamp of the earliest pending event, or ``None`` if empty."""
-        if not self._events:
-            return None
-        return self._events[0].timestamp_us
 
 
 def format_duration(us: float) -> str:

@@ -14,7 +14,7 @@ policies hook into the device through a
 flash pages may be physically erased) and through operation observers.
 """
 
-from repro.ssd.device import SSD, SSDBuilder
+from repro.ssd.device import SSD
 from repro.ssd.errors import (
     CapacityExhaustedError,
     FlashStateError,
@@ -47,7 +47,6 @@ __all__ = [
     "PassthroughRetention",
     "RetentionPolicy",
     "SSD",
-    "SSDBuilder",
     "SSDError",
     "SSDGeometry",
 ]

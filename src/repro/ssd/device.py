@@ -135,10 +135,6 @@ class SSD:
     def page_size(self) -> int:
         return self.geometry.page_size
 
-    def set_retention_policy(self, policy: RetentionPolicy) -> None:
-        """Install a retention policy (used by defenses layered on the device)."""
-        self.ftl.retention_policy = policy
-
     def add_observer(self, observer: IOObserver) -> None:
         """Register an observer that sees every completed host command."""
         self._observers.append(observer)
@@ -491,55 +487,3 @@ class SSD:
         for observer in self._observers:
             observer.on_host_op(op)
         return op
-
-
-class SSDBuilder:
-    """Fluent builder for SSD instances used throughout tests and examples."""
-
-    def __init__(self) -> None:
-        self._geometry = SSDGeometry.small()
-        self._latency = LatencyModel()
-        self._clock: Optional[SimClock] = None
-        self._retention: Optional[RetentionPolicy] = None
-        self._gc: Optional[GarbageCollector] = None
-        self._gc_threshold = 4
-        self._eager_trim_gc = True
-
-    def with_geometry(self, geometry: SSDGeometry) -> "SSDBuilder":
-        self._geometry = geometry
-        return self
-
-    def with_latency(self, latency: LatencyModel) -> "SSDBuilder":
-        self._latency = latency
-        return self
-
-    def with_clock(self, clock: SimClock) -> "SSDBuilder":
-        self._clock = clock
-        return self
-
-    def with_retention_policy(self, policy: RetentionPolicy) -> "SSDBuilder":
-        self._retention = policy
-        return self
-
-    def with_gc(self, gc: GarbageCollector) -> "SSDBuilder":
-        self._gc = gc
-        return self
-
-    def with_gc_threshold(self, blocks: int) -> "SSDBuilder":
-        self._gc_threshold = blocks
-        return self
-
-    def with_eager_trim_gc(self, enabled: bool) -> "SSDBuilder":
-        self._eager_trim_gc = enabled
-        return self
-
-    def build(self) -> SSD:
-        return SSD(
-            geometry=self._geometry,
-            latency=self._latency,
-            clock=self._clock,
-            retention_policy=self._retention,
-            gc=self._gc,
-            gc_threshold_blocks=self._gc_threshold,
-            eager_trim_gc=self._eager_trim_gc,
-        )

@@ -211,10 +211,6 @@ class FlashPage:
         lpn = int(self._kernel.page_lpn[self.ppn])
         return None if lpn == NO_LPN else lpn
 
-    @property
-    def program_timestamp_us(self) -> int:
-        return int(self._kernel.page_ts[self.ppn])
-
 
 class FlashBlock:
     """View of one erase block over the kernel's arrays.
@@ -267,11 +263,6 @@ class FlashBlock:
     @property
     def size(self) -> int:
         return self._kernel.geometry.pages_per_block
-
-    @property
-    def is_full(self) -> bool:
-        """True once every page in the block has been programmed."""
-        return self.next_program_offset >= self.size
 
     @property
     def is_erased(self) -> bool:
@@ -487,10 +478,6 @@ class FlashArray:
     def min_erase_count(self) -> int:
         """Lowest per-block erase count."""
         return self._min_erase
-
-    @property
-    def block_count(self) -> int:
-        return len(self._blocks)
 
     def state_counts(self) -> Dict[PageState, int]:
         """Count pages in each state across the whole array."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol
 
 import numpy as np
 
@@ -201,10 +201,6 @@ class BlockAllocator:
         """Whether ``block_index`` currently sits in the free pool."""
         return block_index in self._free_set
 
-    def peek_free(self) -> List[int]:
-        """Snapshot of the free pool (for tests and wear statistics)."""
-        return [block_index for _, block_index in self._heap]
-
 
 @dataclass
 class FTLStats:
@@ -214,52 +210,6 @@ class FTLStats:
     stale_pages_released: int = 0
     stale_pages_relocated: int = 0
     reclaim_pressure_events: int = 0
-
-
-class _MappingView:
-    """Read-only dict-like view of the kernel's mapping columns.
-
-    Kept so callers (and the equivalence tests) that inspected the old
-    ``Dict[int, PageMetadata]`` keep working; entries are materialised
-    as snapshots on access.
-    """
-
-    def __init__(self, ftl: "FTL") -> None:
-        self._ftl = ftl
-
-    def _mapped_lpns(self) -> np.ndarray:
-        return np.nonzero(self._ftl.kernel.map_ppn >= 0)[0]
-
-    def __len__(self) -> int:
-        return self._ftl.kernel.mapped_count
-
-    def __contains__(self, lpn: int) -> bool:
-        kernel = self._ftl.kernel
-        return 0 <= lpn < len(kernel.map_ppn) and kernel.map_ppn[lpn] >= 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._mapped_lpns().tolist())
-
-    def get(self, lpn: int, default=None):
-        meta = self._ftl.lookup(lpn)
-        return meta if meta is not None else default
-
-    def __getitem__(self, lpn: int) -> PageMetadata:
-        meta = self._ftl.lookup(lpn)
-        if meta is None:
-            raise KeyError(lpn)
-        return meta
-
-    def keys(self) -> List[int]:
-        return self._mapped_lpns().tolist()
-
-    def values(self) -> List[PageMetadata]:
-        lookup = self._ftl.lookup
-        return [lookup(lpn) for lpn in self.keys()]
-
-    def items(self) -> List[Tuple[int, PageMetadata]]:
-        lookup = self._ftl.lookup
-        return [(lpn, lookup(lpn)) for lpn in self.keys()]
 
 
 class FTL:
@@ -305,11 +255,6 @@ class FTL:
     # -- introspection -----------------------------------------------------
 
     @property
-    def _mapping(self) -> _MappingView:
-        """Dict-like view over the kernel mapping columns (tests/tools)."""
-        return _MappingView(self)
-
-    @property
     def mapped_pages(self) -> int:
         """Number of live logical pages."""
         return self.kernel.mapped_count
@@ -353,17 +298,6 @@ class FTL:
         records = [record for record in self._stale.values() if record.lpn == lpn]
         records.sort(key=lambda record: record.version)
         return records
-
-    def stale_entropy_profile(self, encrypted_threshold: float = 7.2) -> Dict[str, float]:
-        """Vectorized entropy accounting over the retained stale pool.
-
-        Aggregates straight off the kernel's per-page entropy column
-        (mean entropy and encrypted-looking fraction of retained stale
-        data) without touching the content objects -- the accounting
-        RSSD's retention/detection reporting builds on.
-        """
-        ppns = np.fromiter(self._stale.keys(), dtype=np.int64, count=len(self._stale))
-        return self.kernel.entropy_profile(ppns, encrypted_threshold)
 
     def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.geometry.exported_pages:
@@ -764,17 +698,6 @@ class FTL:
         self._unindex_stale(record.ppn)
         self.stats.stale_pages_released += 1
         self.retention_policy.on_release(record)
-
-    def drop_stale_record(self, record: StalePage) -> None:
-        """Remove a stale record without destroying data.
-
-        Used when the record's content has been safely copied elsewhere
-        (for example after remote offload confirms durability) and local
-        tracking is no longer required.  The physical page remains
-        invalid and will be reclaimed by GC as releasable space.
-        """
-        self._stale.pop(record.ppn, None)
-        self._unindex_stale(record.ppn)
 
     def _unindex_stale(self, ppn: int) -> None:
         """Drop ``ppn`` from the per-block stale index."""

@@ -5,9 +5,9 @@ hot state, laid out as contiguous struct-of-arrays (numpy) instead of
 the dict-of-dataclass representation the first five PRs grew up on:
 
 * **flash plane** -- per physical page: state, logical owner, program
-  timestamp, entropy, and the :class:`~repro.ssd.flash.PageContent`
-  descriptor (an object column, so content identity survives the
-  refactor bit-for-bit);
+  timestamp and the :class:`~repro.ssd.flash.PageContent` descriptor
+  (an object column, so content identity survives the refactor
+  bit-for-bit; each page's entropy rides on its descriptor);
 * **block plane** -- per erase block: program frontier, valid/invalid
   counters, erase counts and the newest program timestamp;
 * **mapping plane** -- per logical page: the LPN→PPN translation as an
@@ -40,7 +40,7 @@ against full page walks):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class SimKernel:
         "page_state",
         "page_lpn",
         "page_ts",
-        "page_entropy",
         "page_content",
         "block_next_off",
         "block_valid",
@@ -97,10 +96,6 @@ class SimKernel:
         self.page_state = np.zeros(n_pages, dtype=np.int8)
         self.page_lpn = np.full(n_pages, NO_LPN, dtype=np.int64)
         self.page_ts = np.zeros(n_pages, dtype=np.int64)
-        #: Entropy of the stored content in bits/byte; 0 for free pages.
-        #: Kept as a parallel float column so retention / detection
-        #: accounting can aggregate without touching the object column.
-        self.page_entropy = np.zeros(n_pages, dtype=np.float64)
         #: The PageContent descriptor programmed into each page (None
         #: for free pages).  An object column: identity is preserved so
         #: reads return exactly the object that was written.
@@ -140,7 +135,6 @@ class SimKernel:
         self.page_state[ppn] = PAGE_VALID
         self.page_lpn[ppn] = NO_LPN if lpn is None else lpn
         self.page_ts[ppn] = timestamp_us
-        self.page_entropy[ppn] = content.entropy
         self.page_content[ppn] = content
         if content.payload is not None:
             self.payload_pages += 1
@@ -169,7 +163,6 @@ class SimKernel:
         self.page_state[start:end] = PAGE_FREE
         self.page_lpn[start:end] = NO_LPN
         self.page_ts[start:end] = 0
-        self.page_entropy[start:end] = 0.0
         self.page_content[start:end] = None
         self.block_next_off[block_index] = 0
         self.block_valid[block_index] = 0
@@ -199,14 +192,10 @@ class SimKernel:
         self.page_lpn[start : start + count] = lpns
         self.page_ts[start : start + count] = timestamp_us
         self.page_content[start : start + count] = contents
-        entropies = []
-        entropy_append = entropies.append
         payloads = 0
         for c in contents:
-            entropy_append(c.entropy)
             if c.payload is not None:
                 payloads += 1
-        self.page_entropy[start : start + count] = entropies
         if payloads:
             self.payload_pages += payloads
         self.block_next_off[block_index] = offset + count
@@ -224,38 +213,6 @@ class SimKernel:
 
     # -- mapping plane -----------------------------------------------------
 
-    def map_run(self, start_lpn: int, ppns: np.ndarray, timestamp_us: int) -> np.ndarray:
-        """Point a contiguous LPN run at freshly programmed ppns.
-
-        Returns the *previous* ppn column (with ``-1`` for pages that
-        were unmapped) so the caller can invalidate superseded pages.
-        Versions advance by one for every page in the run.
-        """
-        count = len(ppns)
-        end = start_lpn + count
-        previous = self.map_ppn[start_lpn:end].copy()
-        self.map_ppn[start_lpn:end] = ppns
-        self.map_written_us[start_lpn:end] = timestamp_us
-        self.map_version[start_lpn:end] += 1
-        self.mapped_count += count - int(np.count_nonzero(previous >= 0))
-        return previous
-
-    def unmap_run(self, start_lpn: int, npages: int) -> np.ndarray:
-        """Drop the mapping of a contiguous LPN run.
-
-        Returns the indices (relative to ``start_lpn``) of the pages
-        that were actually mapped; their old ppns can be read from the
-        returned tuple's second element.
-        """
-        end = start_lpn + npages
-        window = self.map_ppn[start_lpn:end]
-        mapped_offsets = np.nonzero(window >= 0)[0]
-        old_ppns = window[mapped_offsets].copy()
-        if len(mapped_offsets):
-            self.map_ppn[start_lpn:end][mapped_offsets] = NO_PPN
-            self.mapped_count -= len(mapped_offsets)
-        return mapped_offsets, old_ppns
-
     def read_ppns(self, start_lpn: int, npages: int) -> np.ndarray:
         """The PPN column for a contiguous LPN run (``-1`` = unmapped)."""
         return self.map_ppn[start_lpn : start_lpn + npages]
@@ -272,29 +229,3 @@ class SimKernel:
         pages_per_block = self.geometry.pages_per_block
         start = block_index * pages_per_block
         return int(np.count_nonzero(self.page_state[start : start + pages_per_block] == state))
-
-    def entropy_profile(self, ppns: np.ndarray, encrypted_threshold: float = 7.2) -> Dict[str, float]:
-        """Vectorized entropy accounting over a set of physical pages.
-
-        Feeds the retention manager's stale-data profile and the
-        detection-quality reporting: mean entropy and the
-        encrypted-looking fraction of the given pages, straight off the
-        float column (no object traversal).
-        """
-        if len(ppns) == 0:
-            return {"pages": 0, "mean_entropy": 0.0, "encrypted_fraction": 0.0}
-        entropies = self.page_entropy[ppns]
-        return {
-            "pages": int(len(ppns)),
-            "mean_entropy": float(entropies.mean()),
-            "encrypted_fraction": float(np.count_nonzero(entropies >= encrypted_threshold) / len(ppns)),
-        }
-
-    def block_utilisation(self) -> Dict[str, int]:
-        """Bulk block accounting for reports: programmed/valid/invalid totals."""
-        return {
-            "programmed_pages": int(self.block_next_off.sum()),
-            "valid_pages": int(self.block_valid.sum()),
-            "invalid_pages": int(self.block_invalid.sum()),
-            "total_erases": int(self.block_erase.sum()),
-        }

@@ -77,19 +77,6 @@ class LatencyModel:
         return self.read_page_us(page_size) + self.program_page_us(page_size)
 
     @classmethod
-    def fast_nvme(cls) -> "LatencyModel":
-        """Latency profile of a modern TLC NVMe drive."""
-        return cls(
-            read_us=60.0,
-            program_us=700.0,
-            erase_us=5000.0,
-            bus_transfer_us_per_kb=1.2,
-            controller_us=2.0,
-            dram_access_us=0.8,
-            log_append_us=0.1,
-        )
-
-    @classmethod
     def cosmos_openssd(cls) -> "LatencyModel":
         """Latency profile approximating the Cosmos+ OpenSSD MLC flash."""
         return cls(

@@ -1,55 +1,15 @@
-"""Wear-leveling statistics and static wear-leveling helper.
+"""Static wear leveling.
 
 Dynamic wear leveling (always open the least-worn free block) lives in
-:class:`repro.ssd.ftl.BlockAllocator`.  This module adds the wear
-statistics the lifetime experiments report and a static wear-leveling
-pass that migrates cold data out of under-erased blocks when the wear
-spread grows too large.
+:class:`repro.ssd.ftl.BlockAllocator`.  This module adds a static
+wear-leveling pass that migrates cold data out of under-erased blocks
+when the wear spread grows too large.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ssd.flash import FlashArray, PageState
 from repro.ssd.ftl import FTL
-
-
-@dataclass(frozen=True)
-class WearStats:
-    """Summary of erase-count distribution across the array."""
-
-    total_erases: int
-    mean_erases: float
-    min_erases: int
-    max_erases: int
-
-    @property
-    def spread(self) -> int:
-        """Difference between the most- and least-worn blocks."""
-        return self.max_erases - self.min_erases
-
-    def lifetime_consumed(self, endurance_cycles: int = 3000) -> float:
-        """Fraction of rated P/E cycles consumed by the *most worn* block."""
-        if endurance_cycles <= 0:
-            raise ValueError("endurance_cycles must be positive")
-        return self.max_erases / endurance_cycles
-
-
-def compute_wear_stats(flash: FlashArray) -> WearStats:
-    """Collect wear statistics for the whole array.
-
-    Reads the array's incrementally maintained counters, so it is cheap
-    enough to consult on every host command.
-    """
-    total = flash.total_erases()
-    blocks = flash.block_count
-    return WearStats(
-        total_erases=total,
-        mean_erases=total / blocks if blocks else 0.0,
-        min_erases=flash.min_erase_count(),
-        max_erases=flash.max_erase_count(),
-    )
 
 
 class StaticWearLeveler:

@@ -6,12 +6,13 @@ this package provides statistical generators calibrated to the
 published per-volume characteristics (write intensity, read/write mix,
 request sizes, working-set skew).  Retention-time results depend on the
 *write volume and overwrite behaviour per day*, which the generators
-reproduce per volume.
+reproduce per volume.  No trace file is replayed: the repository ships
+none, so it carries no parser for one.
 
-* :mod:`repro.workloads.records` -- the trace record format, the
-  columnar :class:`~repro.workloads.records.Trace`, and stats.
+* :mod:`repro.workloads.records` -- the trace record format and the
+  columnar :class:`~repro.workloads.records.Trace`.
 * :mod:`repro.workloads.synthetic` -- generic generators (sequential,
-  uniform random, Zipfian, mixed).
+  uniform random, Zipfian, bursty) and :func:`profile_workload`.
 * :mod:`repro.workloads.msr` -- MSR-Cambridge volume profiles.
 * :mod:`repro.workloads.fiu` -- FIU volume profiles.
 * :mod:`repro.workloads.fio` -- fio-like benchmark job specifications.
@@ -21,8 +22,8 @@ reproduce per volume.
   devices (RSSD + baselines) and compare them.
 """
 
-from repro.workloads.fio import FioJob, load_fio_iolog, standard_jobs
-from repro.workloads.fiu import FIU_VOLUMES, fiu_profile, load_fiu_trace
+from repro.workloads.fio import FioJob, standard_jobs
+from repro.workloads.fiu import FIU_VOLUMES
 from repro.workloads.fleet import (
     FleetDeviceReport,
     FleetReport,
@@ -30,18 +31,11 @@ from repro.workloads.fleet import (
     default_fleet_factories,
     shard_trace,
 )
-from repro.workloads.msr import MSR_VOLUMES, load_msr_trace, msr_profile
-from repro.workloads.records import (
-    Trace,
-    TraceParseError,
-    TraceRecord,
-    TraceStats,
-    collect_stats,
-)
+from repro.workloads.msr import MSR_VOLUMES
+from repro.workloads.records import Trace, TraceRecord
 from repro.workloads.replay import BatchTraceReplayer, ReplayResult, TraceReplayer
 from repro.workloads.synthetic import (
     BurstyWorkload,
-    MixedWorkload,
     SequentialWorkload,
     UniformRandomWorkload,
     VolumeProfile,
@@ -58,24 +52,15 @@ __all__ = [
     "FleetReport",
     "FleetRunner",
     "MSR_VOLUMES",
-    "MixedWorkload",
     "ReplayResult",
     "SequentialWorkload",
     "Trace",
-    "TraceParseError",
     "TraceRecord",
     "TraceReplayer",
-    "TraceStats",
     "UniformRandomWorkload",
     "VolumeProfile",
     "ZipfianWorkload",
-    "collect_stats",
     "default_fleet_factories",
-    "fiu_profile",
-    "load_fio_iolog",
-    "load_fiu_trace",
-    "load_msr_trace",
-    "msr_profile",
     "profile_workload",
     "shard_trace",
     "standard_jobs",

@@ -9,9 +9,9 @@ knows how to generate its trace for a given device capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.workloads.records import TraceOp, TraceParseError, TraceRecord
+from repro.workloads.records import TraceRecord
 from repro.workloads.synthetic import (
     SequentialWorkload,
     UniformRandomWorkload,
@@ -66,123 +66,3 @@ def standard_jobs(duration_s: float = 2.0) -> Dict[str, FioJob]:
             "oltp-mix", "zipf", write_fraction=0.3, request_pages=2, duration_s=duration_s
         ),
     }
-
-
-#: The fio iolog ops replayed as device requests (v2 column 2 verbs).
-_FIO_OPS = {
-    "read": TraceOp.READ,
-    "write": TraceOp.WRITE,
-    "trim": TraceOp.TRIM,
-    "sync": TraceOp.FLUSH,
-    "datasync": TraceOp.FLUSH,
-}
-
-#: File-management verbs that carry no I/O (skipped during load).
-_FIO_FILE_OPS = ("add", "open", "close")
-
-
-def load_fio_iolog(
-    path: str,
-    *,
-    page_size: int = 4096,
-    strict: bool = True,
-    default_interval_us: int = 100,
-    max_records: Optional[int] = None,
-) -> List[TraceRecord]:
-    """Load an fio ``write_iolog`` file (version 2 or 3).
-
-    Version 2 lines are ``<file> <op> [<offset> <length>]`` with no
-    timestamps -- records are spaced ``default_interval_us`` apart in
-    issue order.  Version 3 prefixes each line with a millisecond
-    timestamp (``<ts_ms> <file> <op> [<offset> <length>]``), converted
-    to microseconds relative to the first record.  File-management ops
-    (``add``/``open``/``close``) carry no I/O and are skipped;
-    ``sync``/``datasync`` become flushes; offsets and lengths (bytes)
-    scale to ``page_size`` logical pages.
-
-    The first line must be the ``fio version N iolog`` banner.
-    ``strict`` and ``max_records`` behave like the other loaders:
-    strict mode raises :class:`~repro.workloads.records.TraceParseError`
-    on malformed lines, lenient mode skips them, and an empty file is
-    an empty trace.
-    """
-    records: List[TraceRecord] = []
-    version: Optional[int] = None
-    origin_ms: Optional[float] = None
-    sequence = 0
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if version is None:
-                parts = text.split()
-                if (
-                    len(parts) == 4
-                    and parts[0] == "fio"
-                    and parts[1] == "version"
-                    and parts[2] in ("2", "3")
-                    and parts[3] == "iolog"
-                ):
-                    version = int(parts[2])
-                    continue
-                raise TraceParseError(
-                    f"not an fio iolog: expected 'fio version 2|3 iolog' "
-                    f"banner, got {text!r}",
-                    path=path,
-                    line_no=line_no,
-                )
-            if max_records is not None and len(records) >= max_records:
-                break
-            fields = text.split()
-            try:
-                timestamp_ms: Optional[float] = None
-                if version == 3:
-                    timestamp_ms = float(fields[0])
-                    fields = fields[1:]
-                if len(fields) < 2:
-                    raise ValueError("expected '<file> <op> ...'")
-                op_name = fields[1].lower()
-                if op_name in _FIO_FILE_OPS:
-                    continue
-                if op_name not in _FIO_OPS:
-                    raise ValueError(f"unknown iolog op {fields[1]!r}")
-                op = _FIO_OPS[op_name]
-                offset = length = 0
-                if op is not TraceOp.FLUSH:
-                    if len(fields) < 4:
-                        raise ValueError(
-                            f"op {op_name!r} needs '<offset> <length>'"
-                        )
-                    offset = int(fields[2])
-                    length = int(fields[3])
-                    if offset < 0 or length < 0:
-                        raise ValueError("offset and length must be non-negative")
-            except (ValueError, IndexError) as error:
-                if strict:
-                    raise TraceParseError(
-                        f"malformed fio iolog line: {error}",
-                        path=path,
-                        line_no=line_no,
-                    ) from None
-                continue
-            if timestamp_ms is not None:
-                if origin_ms is None:
-                    origin_ms = timestamp_ms
-                timestamp_us = max(0, int((timestamp_ms - origin_ms) * 1000))
-            else:
-                timestamp_us = sequence * default_interval_us
-            sequence += 1
-            records.append(
-                TraceRecord(
-                    timestamp_us=timestamp_us,
-                    op=op,
-                    lba=offset // page_size,
-                    npages=(
-                        max(1, (length + page_size - 1) // page_size)
-                        if op is not TraceOp.FLUSH
-                        else 0
-                    ),
-                )
-            )
-    return records

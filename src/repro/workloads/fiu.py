@@ -8,10 +8,9 @@ described by a calibrated :class:`VolumeProfile`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.workloads.records import TraceOp, TraceParseError, TraceRecord
-from repro.workloads.synthetic import VolumeProfile, profile_workload
+from repro.workloads.synthetic import VolumeProfile
 
 #: Per-volume statistical profiles for the FIU traces.
 FIU_VOLUMES: Dict[str, VolumeProfile] = {
@@ -68,33 +67,6 @@ FIU_VOLUMES: Dict[str, VolumeProfile] = {
 }
 
 
-def fiu_profile(volume: str) -> VolumeProfile:
-    """Look up the profile of an FIU volume by name."""
-    try:
-        return FIU_VOLUMES[volume]
-    except KeyError:
-        raise KeyError(
-            f"unknown FIU volume {volume!r}; available: {sorted(FIU_VOLUMES)}"
-        ) from None
-
-
-def fiu_trace(
-    volume: str,
-    capacity_pages: int,
-    duration_s: float,
-    seed: int = 1,
-    time_compression: float = 1.0,
-) -> List[TraceRecord]:
-    """Generate a synthetic trace for one FIU volume."""
-    return profile_workload(
-        fiu_profile(volume),
-        capacity_pages=capacity_pages,
-        duration_s=duration_s,
-        seed=seed,
-        time_compression=time_compression,
-    )
-
-
 def figure2_volumes() -> List[str]:
     """The volume labels plotted in the paper's Figure 2, in order."""
     return [
@@ -111,91 +83,3 @@ def figure2_volumes() -> List[str]:
         "web",
         "webusers",
     ]
-
-
-#: Bytes per sector in the FIU trace format.
-FIU_SECTOR_BYTES = 512
-
-#: Minimum whitespace-separated fields of one FIU trace line.
-_FIU_MIN_FIELDS = 6
-
-
-def load_fiu_trace(
-    path: str,
-    *,
-    page_size: int = 4096,
-    strict: bool = True,
-    max_records: Optional[int] = None,
-) -> List[TraceRecord]:
-    """Load a real FIU IODedup trace file.
-
-    The published format is whitespace-separated, one request per
-    line::
-
-        timestamp pid process lba_sector size_sectors op [hash ...]
-
-    with ``timestamp`` in (possibly fractional) seconds, addresses and
-    sizes in 512-byte sectors, and ``op`` a ``W``/``R`` flag
-    (case-insensitive).  Timestamps become microseconds relative to the
-    first record (clamped at zero), sector addresses scale to
-    ``page_size`` logical pages, and sizes round up to at least one
-    page.  Trailing fields (the per-block content hashes) are ignored.
-
-    ``strict`` and ``max_records`` behave exactly like
-    :func:`~repro.workloads.msr.load_msr_trace`: strict mode raises
-    :class:`~repro.workloads.records.TraceParseError` with path and
-    line number, lenient mode skips malformed lines, and an empty file
-    is an empty trace.
-    """
-    records: List[TraceRecord] = []
-    origin_us: Optional[int] = None
-    sectors_per_page = max(1, page_size // FIU_SECTOR_BYTES)
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if max_records is not None and len(records) >= max_records:
-                break
-            fields = text.split()
-            try:
-                if len(fields) < _FIU_MIN_FIELDS:
-                    raise ValueError(
-                        f"expected at least {_FIU_MIN_FIELDS} fields, "
-                        f"got {len(fields)}"
-                    )
-                timestamp_s = float(fields[0])
-                lba_sector = int(fields[3])
-                size_sectors = int(fields[4])
-                kind = fields[5].strip().lower()
-                if kind not in ("r", "w", "read", "write"):
-                    raise ValueError(f"unknown request type {fields[5]!r}")
-                if lba_sector < 0 or size_sectors < 0:
-                    raise ValueError("lba and size must be non-negative")
-                if timestamp_s != timestamp_s or timestamp_s in (
-                    float("inf"),
-                    float("-inf"),
-                ):
-                    raise ValueError(f"non-finite timestamp {fields[0]!r}")
-            except ValueError as error:
-                if strict:
-                    raise TraceParseError(
-                        f"malformed FIU trace line: {error}",
-                        path=path,
-                        line_no=line_no,
-                    ) from None
-                continue
-            timestamp_us = int(timestamp_s * 1_000_000)
-            if origin_us is None:
-                origin_us = timestamp_us
-            records.append(
-                TraceRecord(
-                    timestamp_us=max(0, timestamp_us - origin_us),
-                    op=TraceOp.READ if kind.startswith("r") else TraceOp.WRITE,
-                    lba=lba_sector // sectors_per_page,
-                    npages=max(
-                        1, (size_sectors + sectors_per_page - 1) // sectors_per_page
-                    ),
-                )
-            )
-    return records

@@ -11,10 +11,9 @@ daily write volume and overwrite locality, which these profiles encode.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.workloads.records import TraceOp, TraceParseError, TraceRecord
-from repro.workloads.synthetic import VolumeProfile, profile_workload
+from repro.workloads.synthetic import VolumeProfile
 
 #: Per-volume statistical profiles (daily write volume in GB/day).
 MSR_VOLUMES: Dict[str, VolumeProfile] = {
@@ -119,110 +118,3 @@ MSR_VOLUMES: Dict[str, VolumeProfile] = {
         mean_compress_ratio=0.46,
     ),
 }
-
-
-def msr_profile(volume: str) -> VolumeProfile:
-    """Look up the profile of an MSR volume by name."""
-    try:
-        return MSR_VOLUMES[volume]
-    except KeyError:
-        raise KeyError(
-            f"unknown MSR volume {volume!r}; available: {sorted(MSR_VOLUMES)}"
-        ) from None
-
-
-def msr_trace(
-    volume: str,
-    capacity_pages: int,
-    duration_s: float,
-    seed: int = 1,
-    time_compression: float = 1.0,
-) -> List[TraceRecord]:
-    """Generate a synthetic trace for one MSR volume."""
-    return profile_workload(
-        msr_profile(volume),
-        capacity_pages=capacity_pages,
-        duration_s=duration_s,
-        seed=seed,
-        time_compression=time_compression,
-    )
-
-
-#: Windows FILETIME ticks (100 ns) per microsecond -- the MSR traces'
-#: timestamp unit.
-MSR_TICKS_PER_US = 10
-
-#: Column count of the published MSR-Cambridge CSV format.
-_MSR_FIELDS = 7
-
-
-def load_msr_trace(
-    path: str,
-    *,
-    page_size: int = 4096,
-    strict: bool = True,
-    max_records: Optional[int] = None,
-) -> List[TraceRecord]:
-    """Load a real MSR-Cambridge CSV trace file.
-
-    The published format is one request per line::
-
-        Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
-
-    where ``Timestamp`` is a Windows FILETIME (100 ns ticks since 1601),
-    ``Type`` is ``Read`` or ``Write`` (case-insensitive), and ``Offset``
-    / ``Size`` are bytes.  Timestamps become microseconds relative to
-    the first record (clamped at zero for the occasional out-of-order
-    request), offsets become ``page_size`` logical pages, and sizes
-    round up to at least one page.
-
-    ``strict=True`` raises :class:`~repro.workloads.records.TraceParseError`
-    (with path and line number) on the first malformed line; with
-    ``strict=False`` malformed lines are skipped, so a truncated
-    download still loads its intact prefix.  ``max_records`` caps the
-    load for sampling huge traces.  An empty file is an empty trace.
-    """
-    records: List[TraceRecord] = []
-    origin_ticks: Optional[int] = None
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if max_records is not None and len(records) >= max_records:
-                break
-            fields = text.split(",")
-            try:
-                if len(fields) != _MSR_FIELDS:
-                    raise ValueError(
-                        f"expected {_MSR_FIELDS} comma-separated fields, "
-                        f"got {len(fields)}"
-                    )
-                ticks = int(fields[0])
-                kind = fields[3].strip().lower()
-                if kind not in ("read", "write"):
-                    raise ValueError(f"unknown request type {fields[3]!r}")
-                offset = int(fields[4])
-                size = int(fields[5])
-                if offset < 0 or size < 0:
-                    raise ValueError("offset and size must be non-negative")
-            except ValueError as error:
-                if strict:
-                    raise TraceParseError(
-                        f"malformed MSR trace line: {error}",
-                        path=path,
-                        line_no=line_no,
-                    ) from None
-                continue
-            if origin_ticks is None:
-                origin_ticks = ticks
-            timestamp_us = max(0, (ticks - origin_ticks) // MSR_TICKS_PER_US)
-            records.append(
-                TraceRecord(
-                    timestamp_us=timestamp_us,
-                    op=TraceOp.READ if kind == "read" else TraceOp.WRITE,
-                    lba=offset // page_size,
-                    npages=max(1, (size + page_size - 1) // page_size),
-                )
-            )
-    return records

@@ -1,4 +1,4 @@
-"""Block trace records, the columnar :class:`Trace`, and summary statistics."""
+"""Block trace records and the columnar :class:`Trace`."""
 
 from __future__ import annotations
 
@@ -12,20 +12,6 @@ from typing import Iterable, Iterator, List, Tuple, Union, overload
 import numpy as np
 
 from repro.compat import DATACLASS_SLOTS, field_setters
-
-
-class TraceParseError(ValueError):
-    """A trace file line that could not be parsed.
-
-    Carries the file path and 1-based line number so loader errors
-    point at the offending line, not just the offending file.
-    """
-
-    def __init__(self, message: str, *, path: str = "", line_no: int = 0) -> None:
-        location = f"{path}:{line_no}: " if path else ""
-        super().__init__(f"{location}{message}")
-        self.path = path
-        self.line_no = line_no
 
 
 class TraceOp(enum.Enum):
@@ -79,29 +65,6 @@ class TraceRecord:
             raise ValueError("entropy must be within [0, 8]")
         if not 0.0 < self.compress_ratio <= 1.0:
             raise ValueError("compress_ratio must be within (0, 1]")
-
-    def to_line(self) -> str:
-        """Serialise the record as one CSV line (MSR-style column order)."""
-        return (
-            f"{self.timestamp_us},{self.op.value},{self.lba},{self.npages},"
-            f"{self.stream_id},{self.entropy:.3f},{self.compress_ratio:.3f}"
-        )
-
-    @classmethod
-    def from_line(cls, line: str) -> "TraceRecord":
-        """Parse a record serialised by :meth:`to_line`."""
-        fields = line.strip().split(",")
-        if len(fields) != 7:
-            raise ValueError(f"malformed trace line: {line!r}")
-        return cls(
-            timestamp_us=int(fields[0]),
-            op=TraceOp(fields[1]),
-            lba=int(fields[2]),
-            npages=int(fields[3]),
-            stream_id=int(fields[4]),
-            entropy=float(fields[5]),
-            compress_ratio=float(fields[6]),
-        )
 
 
 #: The columns of a :class:`Trace`, in :class:`TraceRecord` field order.
@@ -307,80 +270,6 @@ def _trace_from_columns(*columns: np.ndarray) -> Trace:
     return Trace.__new__(Trace)._adopt(*columns)
 
 
-@dataclass(frozen=True)
-class TraceStats:
-    """Aggregate statistics of a trace."""
-
-    records: int
-    reads: int
-    writes: int
-    trims: int
-    pages_read: int
-    pages_written: int
-    pages_trimmed: int
-    duration_us: int
-    unique_lbas_written: int
-
-    @property
-    def write_fraction(self) -> float:
-        """Writes among reads and writes (trims and flushes excluded); 0 when none."""
-        total = self.reads + self.writes
-        return self.writes / total if total else 0.0
-
-    @property
-    def bytes_written(self) -> int:
-        """Pages written x 4 KiB (the library's canonical page size)."""
-        return self.pages_written * 4096
-
-    @property
-    def overwrite_ratio(self) -> float:
-        """Pages written per unique LBA written (>= 1 implies overwrites)."""
-        if self.unique_lbas_written == 0:
-            return 0.0
-        return self.pages_written / self.unique_lbas_written
-
-    def write_bandwidth_mb_per_day(self) -> float:
-        """Average write bandwidth extrapolated to a full day."""
-        if self.duration_us == 0:
-            return 0.0
-        bytes_per_us = self.bytes_written / self.duration_us
-        return bytes_per_us * 86_400 * 1_000_000 / (1024 * 1024)
-
-
-def collect_stats(records: Iterable[TraceRecord]) -> TraceStats:
-    """Compute :class:`TraceStats` over any iterable of records."""
-    reads = writes = trims = 0
-    pages_read = pages_written = pages_trimmed = 0
-    duration = 0
-    count = 0
-    unique_written = set()
-    for record in records:
-        count += 1
-        duration = max(duration, record.timestamp_us)
-        if record.op is TraceOp.READ:
-            reads += 1
-            pages_read += record.npages
-        elif record.op is TraceOp.WRITE:
-            writes += 1
-            pages_written += record.npages
-            for offset in range(record.npages):
-                unique_written.add(record.lba + offset)
-        elif record.op is TraceOp.TRIM:
-            trims += 1
-            pages_trimmed += record.npages
-    return TraceStats(
-        records=count,
-        reads=reads,
-        writes=writes,
-        trims=trims,
-        pages_read=pages_read,
-        pages_written=pages_written,
-        pages_trimmed=pages_trimmed,
-        duration_us=duration,
-        unique_lbas_written=len(unique_written),
-    )
-
-
 def merge_traces(*traces: List[TraceRecord]) -> List[TraceRecord]:
     """Merge several traces into one, ordered by timestamp (stable)."""
     merged: List[TraceRecord] = []
@@ -388,23 +277,3 @@ def merge_traces(*traces: List[TraceRecord]) -> List[TraceRecord]:
         merged.extend(trace)
     merged.sort(key=lambda record: record.timestamp_us)
     return merged
-
-
-def save_trace(records: Iterable[TraceRecord], path: str) -> int:
-    """Write a trace to ``path`` in the line format.  Returns records written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record.to_line() + "\n")
-            count += 1
-    return count
-
-
-def load_trace(path: str) -> List[TraceRecord]:
-    """Load a trace previously written by :func:`save_trace`."""
-    records: List[TraceRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(TraceRecord.from_line(line))
-    return records

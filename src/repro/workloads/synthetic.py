@@ -1,8 +1,8 @@
 """Synthetic workload generators.
 
 The duration-driven generators (:class:`SequentialWorkload`,
-:class:`UniformRandomWorkload`, :class:`ZipfianWorkload`,
-:class:`MixedWorkload` and :func:`profile_workload`) return a list of
+:class:`UniformRandomWorkload`, :class:`ZipfianWorkload` and
+:func:`profile_workload`) return a list of
 :class:`TraceRecord` covering a requested duration.
 :class:`BurstyWorkload` returns a columnar
 :class:`~repro.workloads.records.Trace` of a requested record count,
@@ -364,23 +364,6 @@ class BurstyWorkload:
             entropy=np.where(writes, self.entropy, 4.0),
             compress_ratio=np.where(writes, self.compress_ratio, 0.5),
         )
-
-
-class MixedWorkload:
-    """Interleaves several generators into one time-ordered trace."""
-
-    def __init__(self, components: List[_BaseWorkload]) -> None:
-        if not components:
-            raise ValueError("MixedWorkload needs at least one component")
-        self.components = components
-
-    def generate(self, duration_s: float, start_us: int = 0) -> List[TraceRecord]:
-        """Every component's trace over ``duration_s``, merged by timestamp (stable)."""
-        merged: List[TraceRecord] = []
-        for component in self.components:
-            merged.extend(component.generate(duration_s, start_us=start_us))
-        merged.sort(key=lambda record: record.timestamp_us)
-        return merged
 
 
 def profile_workload(

@@ -26,7 +26,6 @@ from repro.ablation import (
     AblationStudy,
     apply_ablation,
     calculate_metrics,
-    compare_configs,
     feature_names,
     render_impact_csv,
     render_impact_markdown,
@@ -346,13 +345,6 @@ class TestMetrics:
         }
         trim = by_key[("enhanced-trim", "trimming-attack")]
         assert trim.recovery_fraction_delta > 0.5
-
-    def test_compare_configs(self, artifact):
-        deltas = compare_configs(artifact, "full", "no-remote-offload")
-        assert set(deltas) == {"classic", "trimming-attack"}
-        assert deltas["classic"]["pages_offloaded_remote"] > 0
-        with pytest.raises(KeyError):
-            compare_configs(artifact, "full", "no-such-config")
 
     def test_reports_render(self, artifact):
         impacts = calculate_metrics(artifact)

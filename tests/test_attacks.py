@@ -5,12 +5,11 @@ import pytest
 from repro.api import provision_environment
 from repro.attacks.classic import ClassicRansomware, DestructionMode
 from repro.attacks.gc_attack import GCAttack
-from repro.attacks.samples import ATTACK_PROFILES, family_names, make_attack
+from repro.attacks.samples import ATTACK_PROFILES, make_attack
 from repro.attacks.timing_attack import TimingAttack
 from repro.attacks.trimming_attack import TrimmingAttack
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
-from repro.crypto.entropy import EntropyClassifier
 from repro.forensics import ForensicsEngine
 from repro.sim import US_PER_DAY
 from repro.ssd.device import SSD
@@ -41,7 +40,6 @@ class TestClassicRansomware:
         env = plain_environment()
         outcome = ClassicRansomware(destruction=DestructionMode.OVERWRITE).execute(env)
         assert outcome.pages_encrypted >= len(outcome.victim_files)
-        classifier = EntropyClassifier()
         for name in outcome.victim_files:
             encrypted = env.fs.read_file(name)
             assert encrypted != outcome.original_contents[name]
@@ -186,7 +184,7 @@ class TestTrimmingAttack:
 
 class TestSampleProfiles:
     def test_every_family_builds_an_attack(self):
-        for family in family_names():
+        for family in sorted(ATTACK_PROFILES):
             attack = make_attack(ATTACK_PROFILES[family])
             assert attack.name
 

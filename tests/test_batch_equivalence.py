@@ -14,12 +14,13 @@ Two levels of guarantee are pinned down here:
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
 from repro.forensics import ForensicsEngine
-from repro.ssd.device import SSDBuilder
+from repro.ssd.device import SSD
 from repro.ssd.flash import PageContent
 from repro.ssd.geometry import SSDGeometry
 from repro.workloads.records import TraceOp, TraceRecord
@@ -65,10 +66,15 @@ def drive(device, ops, batched):
             (device.read_batch if batched else device.read)(lba, npages)
 
 
+def live_mappings(ftl):
+    """(lpn, PageMetadata) for every mapped logical page, ascending."""
+    return [(lpn, ftl.lookup(lpn)) for lpn in np.nonzero(ftl.kernel.map_ppn >= 0)[0].tolist()]
+
+
 def mapping_snapshot(ssd):
     return {
         lpn: (meta.ppn, meta.version, meta.written_us)
-        for lpn, meta in ssd.ftl._mapping.items()
+        for lpn, meta in live_mappings(ssd.ftl)
     }
 
 
@@ -128,8 +134,8 @@ class TestStrictEquivalenceOnPlainSSD:
     def test_randomized_trace_is_bit_identical(self, seed):
         geometry = SSDGeometry.tiny()
         ops = random_ops(seed, 2000, geometry.exported_pages, trim_fraction=0.2)
-        per_op = SSDBuilder().with_geometry(geometry).build()
-        batched = SSDBuilder().with_geometry(geometry).build()
+        per_op = SSD(geometry=geometry)
+        batched = SSD(geometry=geometry)
         drive(per_op, ops, batched=False)
         drive(batched, ops, batched=True)
 
@@ -182,11 +188,11 @@ class TestCoalescedReplayEquivalence:
         # Logical state: every live LBA holds the same content version.
         live_a = {
             lpn: per_op.ssd.flash.read(meta.ppn).fingerprint
-            for lpn, meta in per_op.ssd.ftl._mapping.items()
+            for lpn, meta in live_mappings(per_op.ssd.ftl)
         }
         live_b = {
             lpn: batched.ssd.flash.read(meta.ppn).fingerprint
-            for lpn, meta in batched.ssd.ftl._mapping.items()
+            for lpn, meta in live_mappings(batched.ssd.ftl)
         }
         assert live_a == live_b
         # Page-level traffic identical; command counts reflect merging.

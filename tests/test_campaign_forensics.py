@@ -12,6 +12,8 @@ Three guarantees are pinned here:
    grid reproduces ``tests/golden/forensics_tiny.json`` bit-for-bit.
 4. ``repro recover`` runs every action on a tiny-grid RSSD cell and
    refuses, with its message, cells that have no evidence chain.
+5. A :class:`~repro.forensics.ForensicsEngine` answers from the log as
+   it stands, also after traffic issued since its first query.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import pytest
 from repro.campaign import CampaignGrid, CellResult, run_cell
 from repro.campaign.engine import execute_cell_scenario
 from repro.cli import main
-from repro.forensics import ForensicReport
+from repro.forensics import ForensicReport, ForensicsEngine
 from repro.nvmeoe import remote as remote_module
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -152,6 +154,19 @@ class TestGoldenForensicReport:
         assert trim["trimmed_pages"] > 0
 
 
+class TestEngineFollowsTheLog:
+    def test_verify_chain_sees_the_writes_of_an_applied_recovery(self):
+        scenario = execute_cell_scenario(tiny_spec(RSSD_CELL))
+        engine = scenario.defense.forensics_engine()
+        oplog = engine.rssd.oplog
+        built_at = engine.timeline.total_entries
+        written = engine.recovery().apply(engine.recover_to(scenario.attack_outcome.start_us))
+        assert written > 0 and oplog.total_entries > built_at
+        status = engine.verify_chain()
+        assert status.total_entries == oplog.total_entries
+        assert status == ForensicsEngine(engine.rssd).verify_chain()
+
+
 class TestRecoverCommand:
     @staticmethod
     def recover(capsys, *args: str) -> str:
@@ -172,6 +187,17 @@ class TestRecoverCommand:
         report = ForensicReport.from_json(out[out.rindex("\n{") + 1 :])
         assert report.chain_verified
         assert report.malicious_streams
+
+    def test_rebuild_to_pre_attack_ends_in_the_json_report(self, capsys):
+        out = self.recover(capsys, "--to", "pre-attack", "--json")
+        assert "MATCHES exactly" in out
+        report = ForensicReport.from_json(out[out.rindex("\n{") + 1 :])
+        assert report.chain_verified
+        assert report.recovery_exact
+
+    def test_json_with_verify_chain_exits(self):
+        with pytest.raises(SystemExit, match="--json applies to the default report"):
+            main(["recover", "--verify-chain", "--json"])
 
     def test_apply_without_target_exits(self):
         with pytest.raises(SystemExit, match="--apply only makes sense with --to"):

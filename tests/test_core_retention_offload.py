@@ -84,16 +84,6 @@ class TestRetentionManager:
         assert [record.lpn for record in batch] == [0, 1, 2]
         assert manager.pending_pages == 2
 
-    def test_requeue_puts_records_back_at_the_front(self):
-        manager = RetentionManager()
-        records = [stale(lpn) for lpn in range(3)]
-        for record in records:
-            manager.on_invalidate(record)
-        batch = manager.take_pending(2)
-        manager.requeue(batch)
-        again = manager.take_pending(3)
-        assert [record.lpn for record in again] == [0, 1, 2]
-
     def test_version_archive_lookup(self):
         manager = RetentionManager()
         manager.on_invalidate(stale(7, version=1, written=100))

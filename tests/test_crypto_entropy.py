@@ -1,104 +1,8 @@
-"""Tests for entropy classification used by detectors."""
+"""Tests for the sliding entropy window used by detectors."""
 
 import pytest
 
-from repro.crypto.entropy import EntropyClassifier, EntropyWindow
-from repro.ssd.flash import PageContent
-
-
-def encrypted_page() -> PageContent:
-    data = bytes((i * 193 + 71) % 256 for i in range(4096))
-    return PageContent.from_bytes(data)
-
-
-def text_page() -> PageContent:
-    return PageContent.from_bytes(b"plain old document text, nothing to see " * 100)
-
-
-class TestEntropyClassifier:
-    def test_detects_encrypted_payload(self):
-        classifier = EntropyClassifier()
-        verdict = classifier.classify(encrypted_page())
-        assert verdict.looks_encrypted
-        assert verdict.entropy > 7.2
-
-    def test_plain_text_not_flagged(self):
-        classifier = EntropyClassifier()
-        assert not classifier.classify(text_page()).looks_encrypted
-
-    def test_delta_computed_against_previous(self):
-        classifier = EntropyClassifier()
-        verdict = classifier.classify(encrypted_page(), previous=text_page())
-        assert verdict.delta_vs_previous is not None
-        assert verdict.delta_vs_previous > 2.0
-        assert verdict.looks_encrypted
-
-    def test_descriptor_only_pages_use_declared_entropy(self):
-        classifier = EntropyClassifier()
-        synthetic = PageContent.synthetic(1, 4096, entropy=7.9)
-        assert classifier.classify(synthetic).looks_encrypted
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            EntropyClassifier(encrypted_threshold=9.0)
-        with pytest.raises(ValueError):
-            EntropyClassifier(jump_threshold=-1.0)
-
-
-class TestEntropyJumpThreshold:
-    """The configured ``jump_threshold`` must actually gate the verdict
-    (the pre-fix classifier compared ``delta >= 0`` instead)."""
-
-    @staticmethod
-    def synthetic(entropy: float) -> PageContent:
-        return PageContent.synthetic(1, 4096, entropy=entropy)
-
-    def test_sub_threshold_jump_is_not_flagged(self):
-        classifier = EntropyClassifier(jump_threshold=2.0)
-        verdict = classifier.classify(
-            self.synthetic(6.9), previous=self.synthetic(5.5)
-        )
-        assert verdict.delta_vs_previous == pytest.approx(1.4)
-        assert not verdict.looks_encrypted
-
-    def test_supra_threshold_jump_is_flagged_below_absolute_line(self):
-        classifier = EntropyClassifier(jump_threshold=2.0)
-        verdict = classifier.classify(
-            self.synthetic(6.9), previous=self.synthetic(4.0)
-        )
-        assert verdict.delta_vs_previous == pytest.approx(2.9)
-        assert verdict.looks_encrypted
-
-    @pytest.mark.parametrize("previous_entropy", [0.5, 2.0, 3.5, 5.0, 6.5, 7.9])
-    @pytest.mark.parametrize("entropy", [0.5, 2.0, 3.5, 5.0, 6.5, 6.9, 7.5, 8.0])
-    def test_verdict_property_over_the_grid(self, entropy, previous_entropy):
-        """Property: with a previous page, a write is flagged iff the
-        absolute trigger fires without an entropy drop, or the rise
-        meets the jump threshold."""
-        classifier = EntropyClassifier()
-        delta = entropy - previous_entropy
-        expected = (entropy >= classifier.encrypted_threshold and delta >= 0) or (
-            delta >= classifier.jump_threshold
-        )
-        verdict = classifier.classify(
-            self.synthetic(entropy), previous=self.synthetic(previous_entropy)
-        )
-        assert verdict.looks_encrypted == expected
-        assert verdict.delta_vs_previous == pytest.approx(delta)
-
-    def test_custom_jump_threshold_is_respected(self):
-        loose = EntropyClassifier(jump_threshold=0.5)
-        strict = EntropyClassifier(jump_threshold=3.0)
-        new, old = self.synthetic(6.0), self.synthetic(5.0)
-        assert loose.classify(new, previous=old).looks_encrypted
-        assert not strict.classify(new, previous=old).looks_encrypted
-
-    def test_entropy_drop_never_flags(self):
-        classifier = EntropyClassifier()
-        verdict = classifier.classify(
-            self.synthetic(7.9), previous=self.synthetic(7.95)
-        )
-        assert not verdict.looks_encrypted
+from repro.crypto.entropy import EntropyWindow
 
 
 class TestEntropyWindow:

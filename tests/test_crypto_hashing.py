@@ -1,8 +1,8 @@
-"""Tests for hash chains and Merkle trees (the evidence-chain substrate)."""
+"""Tests for hash chains (the evidence-chain substrate)."""
 
 import pytest
 
-from repro.crypto.hashing import HashChain, MerkleTree, chain_digest
+from repro.crypto.hashing import HashChain, chain_digest
 
 
 class TestHashChain:
@@ -80,37 +80,3 @@ class TestHashChain:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             HashChain(checkpoint_interval=0)
-
-
-class TestMerkleTree:
-    def test_single_leaf_root(self):
-        tree = MerkleTree([b"only"])
-        assert tree.leaf_count == 1
-        proof = tree.proof(0)
-        assert MerkleTree.verify_proof(b"only", proof, tree.root)
-
-    def test_proofs_verify_for_every_leaf(self):
-        leaves = [b"page-%d" % i for i in range(13)]  # odd count exercises padding
-        tree = MerkleTree(leaves)
-        for index, leaf in enumerate(leaves):
-            assert MerkleTree.verify_proof(leaf, tree.proof(index), tree.root)
-
-    def test_wrong_leaf_fails_verification(self):
-        leaves = [b"page-%d" % i for i in range(8)]
-        tree = MerkleTree(leaves)
-        proof = tree.proof(3)
-        assert not MerkleTree.verify_proof(b"forged", proof, tree.root)
-
-    def test_root_changes_with_any_leaf(self):
-        leaves = [b"page-%d" % i for i in range(8)]
-        modified = list(leaves)
-        modified[5] = b"changed"
-        assert MerkleTree(leaves).root != MerkleTree(modified).root
-
-    def test_empty_tree_rejected(self):
-        with pytest.raises(ValueError):
-            MerkleTree([])
-
-    def test_out_of_range_proof_rejected(self):
-        with pytest.raises(IndexError):
-            MerkleTree([b"a"]).proof(5)

@@ -8,6 +8,7 @@ scenarios.
 import pytest
 
 from repro.api import run_fleet
+from repro.cli import main
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
 from repro.ssd.geometry import SSDGeometry
@@ -130,3 +131,25 @@ class TestFleetRunner:
     def test_run_fleet_rejects_unknown_modes(self):
         with pytest.raises(ValueError, match="unknown fleet mode"):
             run_fleet([], mode="broadcast")
+
+
+class TestFleetCommand:
+    DEVICES = ["LocalSSD", "FlashGuard", "TimeSSD", "SSDInsider", "RSSD"]
+
+    @staticmethod
+    def fleet_rows(capsys, *args):
+        """(device, records replayed) per row of ``repro fleet``'s table."""
+        assert main(["fleet", "--records", "2000", *args]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        rule = next(index for index, line in enumerate(lines) if set(line) == {"-"})
+        return [(line.split()[0], int(line.split()[1])) for line in lines[rule + 1 :]]
+
+    def test_mirror_replays_every_record_on_every_device(self, capsys):
+        rows = self.fleet_rows(capsys)
+        assert [name for name, _ in rows] == self.DEVICES
+        assert [records for _, records in rows] == [2000] * len(self.DEVICES)
+
+    def test_shard_splits_the_records_across_the_fleet(self, capsys):
+        rows = self.fleet_rows(capsys, "--shard", "--per-op")
+        assert [name for name, _ in rows] == self.DEVICES
+        assert sum(records for _, records in rows) == 2000

@@ -59,7 +59,7 @@ class TestTimeline:
         assert not timeline.events[1].exact_fingerprint
         assert timeline.events[1].fingerprint is None
 
-    def test_governing_event_and_state_at_follow_write_trim_order(self, rssd):
+    def test_governing_event_follows_write_trim_order(self, rssd):
         rssd.write(0, make_content(10))
         t_written = rssd.clock.now_us
         rssd.clock.advance(50)
@@ -70,11 +70,10 @@ class TestTimeline:
         timeline = OperationTimeline.from_oplog(rssd.oplog, rssd.retention)
         history = timeline.history(0)
         assert history.writes == 2 and history.trims == 1
-        assert history.state_at(t_written) == 10
-        assert history.state_at(t_overwritten) == 11
-        assert history.state_at(rssd.clock.now_us) is None
         assert history.governing_event(t_written).op_type is HostOpType.WRITE
-        assert timeline.image_at(t_overwritten)[0] == 11
+        assert history.governing_event(t_written).fingerprint == 10
+        assert history.governing_event(t_overwritten).fingerprint == 11
+        assert history.governing_event(rssd.clock.now_us).op_type is HostOpType.TRIM
 
     def test_timeline_includes_retained_versions(self, rssd):
         rssd.write(3, make_content(21))
@@ -91,7 +90,6 @@ class TestTimeline:
         assert timeline.chain_verified
         assert timeline.lbas() == []
         assert timeline.span_us == 0
-        assert timeline.image_at(10**12) == {}
 
 
 # ---------------------------------------------------------------------------

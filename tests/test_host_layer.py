@@ -1,12 +1,10 @@
-"""Tests for the host substrate: block device, file system, processes, scheduler."""
+"""Tests for the host substrate: block device, file system, processes."""
 
 import pytest
 
 from repro.host.blockdev import HostBlockDevice
 from repro.host.filesystem import FileSystemError, SimpleFS
-from repro.host.process import IOProcess, Privilege, ProcessRegistry
-from repro.host.scheduler import IOScheduler
-from repro.workloads.records import TraceOp, TraceRecord
+from repro.host.process import Privilege, ProcessRegistry
 
 
 @pytest.fixture
@@ -49,15 +47,6 @@ class TestHostBlockDevice:
 
     def test_empty_write_is_noop(self, blockdev):
         assert blockdev.write_bytes(0, b"") == 0
-
-    def test_trim_bytes_trims_only_fully_covered_pages(self, blockdev, ssd):
-        page = blockdev.page_size
-        blockdev.write_bytes(0, b"\xbb" * (page * 3))
-        blockdev.trim_bytes(page // 2, 2 * page)
-        # Only the single fully covered page is trimmed.
-        assert ssd.read_content(1) is None
-        assert ssd.read_content(0) is not None
-        assert ssd.read_content(2) is not None
 
     def test_stream_id_propagated(self, ssd):
         seen = []
@@ -123,15 +112,6 @@ class TestSimpleFS:
         assert ssd.metrics.host_trims == 1
         assert all(ssd.read_content(lba) is None for lba in lbas)
 
-    def test_rename(self, fs):
-        fs.create_file("old.txt", b"data")
-        fs.rename_file("old.txt", "new.txt")
-        assert not fs.exists("old.txt")
-        assert fs.read_file("new.txt") == b"data"
-        fs.create_file("other.txt", b"x")
-        with pytest.raises(FileSystemError):
-            fs.rename_file("new.txt", "other.txt")
-
     def test_no_space_raises(self, fs):
         huge = b"Z" * (fs.blockdev.capacity_bytes + fs.blockdev.page_size)
         with pytest.raises(FileSystemError):
@@ -165,54 +145,3 @@ class TestProcessRegistry:
         registry.spawn("user")
         evil = registry.spawn("ransomware", is_malicious=True)
         assert registry.malicious_streams() == [evil.stream_id]
-
-    def test_kill_removes_process(self):
-        registry = ProcessRegistry()
-        victim = registry.spawn("backup-agent")
-        assert registry.kill(victim.pid) is victim
-        assert registry.kill(victim.pid) is None
-        assert len(registry) == 1 - 1 + 0 or len(registry) == 0
-
-    def test_lookup_by_stream(self):
-        registry = ProcessRegistry()
-        process = registry.spawn("user")
-        assert registry.by_stream(process.stream_id) is process
-        assert registry.by_stream(9999) is None
-
-    def test_retagging_records(self):
-        process = IOProcess(pid=1, name="p", stream_id=9)
-        records = [TraceRecord(0, TraceOp.WRITE, 0, 1, stream_id=0)]
-        retagged = process.records_with_stream(records)
-        assert retagged[0].stream_id == 9
-
-
-class TestIOScheduler:
-    def test_merge_orders_by_timestamp(self):
-        scheduler = IOScheduler()
-        user = [TraceRecord(10, TraceOp.WRITE, 0, 1, stream_id=1), TraceRecord(30, TraceOp.READ, 0, 1, stream_id=1)]
-        attacker = [TraceRecord(20, TraceOp.WRITE, 5, 1, stream_id=2)]
-        merged = scheduler.merge([user, attacker])
-        assert [record.timestamp_us for record in merged] == [10, 20, 30]
-
-    def test_shares(self):
-        scheduler = IOScheduler()
-        records = [
-            TraceRecord(i, TraceOp.WRITE, i, 1, stream_id=1 if i % 4 else 2)
-            for i in range(20)
-        ]
-        shares = scheduler.shares(records)
-        assert shares[1].records + shares[2].records == 20
-        assert shares[1].fraction + shares[2].fraction == pytest.approx(1.0)
-
-    def test_interleave_ratio_of_hidden_stream(self):
-        scheduler = IOScheduler()
-        records = []
-        for i in range(30):
-            stream = 2 if i % 10 == 5 else 1
-            records.append(TraceRecord(i, TraceOp.WRITE, i, 1, stream_id=stream))
-        # Every attacker request is surrounded by user requests.
-        assert scheduler.interleave_ratio(records, suspect_stream=2) == 1.0
-
-    def test_invalid_queue_depth(self):
-        with pytest.raises(ValueError):
-            IOScheduler(max_queue_depth=0)

@@ -5,8 +5,6 @@ import pytest
 from repro.nvmeoe.frame import (
     DEFAULT_MTU,
     ETHERNET_HEADER_BYTES,
-    EthernetFrame,
-    fragment_payload,
     wire_bytes_for_payload,
 )
 from repro.nvmeoe.link import NetworkLink
@@ -14,29 +12,14 @@ from repro.sim import SimClock, US_PER_SECOND
 
 
 class TestFraming:
-    def test_frame_wire_size_includes_header(self):
-        frame = EthernetFrame("02:00:00:00:00:01", "02:00:00:00:00:02", 1000)
-        assert frame.wire_size == 1000 + ETHERNET_HEADER_BYTES
+    def test_zero_payload_costs_no_wire_bytes(self):
+        assert wire_bytes_for_payload(0) == 0
 
-    def test_invalid_frames_rejected(self):
+    def test_invalid_wire_arguments_rejected(self):
         with pytest.raises(ValueError):
-            EthernetFrame("", "02:00:00:00:00:02", 100)
+            wire_bytes_for_payload(-1)
         with pytest.raises(ValueError):
-            EthernetFrame("a", "b", -1)
-
-    def test_fragmentation_respects_mtu(self):
-        frames = fragment_payload(4000, mtu=1500)
-        assert [frame.payload_size for frame in frames] == [1500, 1500, 1000]
-        assert [frame.sequence for frame in frames] == [0, 1, 2]
-
-    def test_zero_payload_produces_no_frames(self):
-        assert fragment_payload(0) == []
-
-    def test_invalid_fragmentation_arguments(self):
-        with pytest.raises(ValueError):
-            fragment_payload(-1)
-        with pytest.raises(ValueError):
-            fragment_payload(100, mtu=10)
+            wire_bytes_for_payload(100, mtu=10)
 
     def test_wire_bytes_accounts_for_per_frame_overhead(self):
         single = wire_bytes_for_payload(1500)

@@ -71,13 +71,6 @@ class TestProtocol:
         with pytest.raises(ValueError):
             Capsule(CapsuleType.ACK, 0, -1)
 
-    def test_control_json_roundtrip(self):
-        capsule = Capsule(
-            CapsuleType.OFFLOAD_LOG_SEGMENT, 7, 2048, entries=64, metadata={"segment_id": 3}
-        )
-        restored = Capsule.from_control_json(capsule.to_control_json())
-        assert restored == capsule
-
     def test_sequences_increase_monotonically(self):
         protocol = NVMeOEProtocol()
         protocol.offload_pages(100, 4, 1, 4)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.cipher import StreamCipher
 from repro.crypto.compression import Compressor
-from repro.crypto.hashing import HashChain, MerkleTree
+from repro.crypto.hashing import HashChain
 from repro.sim import percentile
 from repro.ssd.device import SSD
 from repro.ssd.flash import PageContent, shannon_entropy
@@ -41,16 +41,6 @@ def test_hash_chain_verifies_only_exact_history(entries):
     mutated = list(entries)
     mutated[len(mutated) // 2] = mutated[len(mutated) // 2] + b"x"
     assert not chain.verify(mutated)
-
-
-@given(leaves=st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=40),
-       index=st.integers(min_value=0, max_value=1000))
-@settings(max_examples=50, deadline=None)
-def test_merkle_proofs_verify_for_arbitrary_leaves(leaves, index):
-    tree = MerkleTree(leaves)
-    position = index % len(leaves)
-    proof = tree.proof(position)
-    assert MerkleTree.verify_proof(leaves[position], proof, tree.root)
 
 
 @given(data=st.binary(min_size=1, max_size=4096))

@@ -42,7 +42,6 @@ KERNEL_COLUMNS = (
     "page_state",
     "page_lpn",
     "page_ts",
-    "page_entropy",
     "block_next_off",
     "block_valid",
     "block_invalid",

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    EventQueue,
     SimClock,
     US_PER_DAY,
     US_PER_SECOND,
@@ -48,53 +47,6 @@ class TestSimClock:
         assert clock.now_seconds == pytest.approx(1.0)
         clock.advance_to(US_PER_DAY)
         assert clock.now_days == pytest.approx(1.0)
-
-
-class TestEventQueue:
-    def test_events_run_in_timestamp_order(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        order = []
-        queue.schedule(30, lambda: order.append("c"))
-        queue.schedule(10, lambda: order.append("a"))
-        queue.schedule(20, lambda: order.append("b"))
-        executed = queue.run_until(100)
-        assert executed == 3
-        assert order == ["a", "b", "c"]
-        assert clock.now_us == 100
-
-    def test_ties_broken_by_insertion_order(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        order = []
-        queue.schedule(10, lambda: order.append("first"))
-        queue.schedule(10, lambda: order.append("second"))
-        queue.run_until(10)
-        assert order == ["first", "second"]
-
-    def test_future_events_not_run(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        ran = []
-        queue.schedule(50, lambda: ran.append(1))
-        assert queue.run_until(10) == 0
-        assert not ran
-        assert len(queue) == 1
-
-    def test_cannot_schedule_in_the_past(self):
-        clock = SimClock(start_us=100)
-        queue = EventQueue(clock)
-        with pytest.raises(ValueError):
-            queue.schedule_at(50, lambda: None)
-        with pytest.raises(ValueError):
-            queue.schedule(-1, lambda: None)
-
-    def test_next_timestamp(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        assert queue.next_timestamp() is None
-        queue.schedule(25, lambda: None)
-        assert queue.next_timestamp() == 25
 
 
 class TestFormatDuration:

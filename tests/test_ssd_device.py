@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import SimClock
-from repro.ssd.device import SSD, SSDBuilder, HostOp, HostOpType
+from repro.ssd.device import SSD, HostOp, HostOpType
 from repro.ssd.errors import OutOfRangeError
 from repro.ssd.flash import PageContent
 from repro.ssd.geometry import SSDGeometry
@@ -184,17 +184,15 @@ class TestObservers:
         assert observer.ops == []
 
 
-class TestBuilder:
-    def test_builder_produces_configured_device(self):
+class TestConstruction:
+    def test_constructor_produces_configured_device(self):
         clock = SimClock()
-        ssd = (
-            SSDBuilder()
-            .with_geometry(SSDGeometry.tiny())
-            .with_latency(LatencyModel.fast_nvme())
-            .with_clock(clock)
-            .with_gc_threshold(5)
-            .with_eager_trim_gc(False)
-            .build()
+        ssd = SSD(
+            geometry=SSDGeometry.tiny(),
+            latency=LatencyModel.cosmos_openssd(),
+            clock=clock,
+            gc_threshold_blocks=5,
+            eager_trim_gc=False,
         )
         assert ssd.geometry.total_pages == 512
         assert ssd.clock is clock

@@ -147,15 +147,6 @@ class TestRelocationAndRelease:
         assert record.released
         assert ftl.stale_pages == 0
 
-    def test_drop_stale_record_keeps_page_invalid(self):
-        ftl = make_ftl()
-        ftl.write(1, content(1))
-        ftl.write(1, content(2))
-        record = ftl.stale_for_lpn(1)[0]
-        ftl.drop_stale_record(record)
-        assert ftl.stale_pages == 0
-        assert not record.released
-
 
 class TestBlockAllocator:
     def test_allocates_lowest_erase_count_first(self):

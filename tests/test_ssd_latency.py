@@ -38,5 +38,4 @@ class TestLatencyModel:
         )
 
     def test_presets(self):
-        assert LatencyModel.fast_nvme().program_us > 0
         assert LatencyModel.cosmos_openssd().read_us > LatencyModel().read_us

@@ -8,29 +8,7 @@ from repro.ssd.flash import FlashArray, PageContent
 from repro.ssd.ftl import FTL
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.metrics import DeviceMetrics, LatencyRecorder
-from repro.ssd.wearlevel import StaticWearLeveler, compute_wear_stats
-
-
-class TestWearStats:
-    def test_fresh_array_has_zero_wear(self):
-        flash = FlashArray(SSDGeometry.tiny())
-        stats = compute_wear_stats(flash)
-        assert stats.total_erases == 0
-        assert stats.spread == 0
-        assert stats.lifetime_consumed() == 0.0
-
-    def test_spread_reflects_uneven_wear(self):
-        flash = FlashArray(SSDGeometry.tiny())
-        flash.set_erase_count(0, 50)
-        stats = compute_wear_stats(flash)
-        assert stats.max_erases == 50
-        assert stats.spread == 50
-        assert stats.lifetime_consumed(endurance_cycles=100) == pytest.approx(0.5)
-
-    def test_invalid_endurance_rejected(self):
-        flash = FlashArray(SSDGeometry.tiny())
-        with pytest.raises(ValueError):
-            compute_wear_stats(flash).lifetime_consumed(endurance_cycles=0)
+from repro.ssd.wearlevel import StaticWearLeveler
 
 
 class TestStaticWearLeveler:

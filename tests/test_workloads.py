@@ -2,22 +2,15 @@
 
 import pytest
 
+from repro.analysis.retention import lookup_volume
 from repro.ssd.device import SSD
 from repro.ssd.geometry import SSDGeometry
 from repro.workloads.fio import FioJob, standard_jobs
-from repro.workloads.fiu import FIU_VOLUMES, figure2_volumes, fiu_profile, fiu_trace
-from repro.workloads.msr import MSR_VOLUMES, msr_profile, msr_trace
-from repro.workloads.records import (
-    TraceOp,
-    TraceRecord,
-    collect_stats,
-    load_trace,
-    merge_traces,
-    save_trace,
-)
+from repro.workloads.fiu import FIU_VOLUMES, figure2_volumes
+from repro.workloads.msr import MSR_VOLUMES
+from repro.workloads.records import TraceOp, TraceRecord, merge_traces
 from repro.workloads.replay import TraceReplayer
 from repro.workloads.synthetic import (
-    MixedWorkload,
     SequentialWorkload,
     UniformRandomWorkload,
     VolumeProfile,
@@ -27,15 +20,17 @@ from repro.workloads.synthetic import (
 )
 
 
+def op_count(records, op):
+    return sum(1 for record in records if record.op is op)
+
+
+def write_fraction(records):
+    """Writes among reads and writes (trims and flushes excluded)."""
+    writes = op_count(records, TraceOp.WRITE)
+    return writes / (writes + op_count(records, TraceOp.READ))
+
+
 class TestTraceRecords:
-    def test_line_roundtrip(self):
-        record = TraceRecord(123, TraceOp.WRITE, 456, 4, stream_id=2, entropy=7.5, compress_ratio=0.9)
-        assert TraceRecord.from_line(record.to_line()) == record
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            TraceRecord.from_line("1,write,2")
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TraceRecord(-1, TraceOp.READ, 0)
@@ -44,34 +39,11 @@ class TestTraceRecords:
         with pytest.raises(ValueError):
             TraceRecord(0, TraceOp.WRITE, 0, entropy=9.0)
 
-    def test_collect_stats(self):
-        records = [
-            TraceRecord(0, TraceOp.WRITE, 0, 2),
-            TraceRecord(10, TraceOp.WRITE, 0, 2),
-            TraceRecord(20, TraceOp.READ, 4, 1),
-            TraceRecord(30, TraceOp.TRIM, 0, 2),
-        ]
-        stats = collect_stats(records)
-        assert stats.writes == 2
-        assert stats.reads == 1
-        assert stats.trims == 1
-        assert stats.pages_written == 4
-        assert stats.unique_lbas_written == 2
-        assert stats.overwrite_ratio == pytest.approx(2.0)
-        assert stats.duration_us == 30
-        assert stats.write_fraction == pytest.approx(2 / 3)
-
     def test_merge_traces_sorted(self):
         a = [TraceRecord(30, TraceOp.READ, 0), TraceRecord(10, TraceOp.READ, 1)]
         b = [TraceRecord(20, TraceOp.WRITE, 2)]
         merged = merge_traces(a, b)
         assert [record.timestamp_us for record in merged] == [10, 20, 30]
-
-    def test_save_and_load(self, tmp_path):
-        records = [TraceRecord(i, TraceOp.WRITE, i, 1) for i in range(5)]
-        path = str(tmp_path / "trace.csv")
-        assert save_trace(records, path) == 5
-        assert load_trace(path) == records
 
 
 class TestSyntheticGenerators:
@@ -100,26 +72,12 @@ class TestSyntheticGenerators:
 
     def test_write_fraction_respected(self):
         workload = UniformRandomWorkload(capacity_pages=1000, iops=2000, write_fraction=0.8, seed=5)
-        stats = collect_stats(workload.generate(1.0))
-        assert 0.65 < stats.write_fraction < 0.95
+        assert 0.65 < write_fraction(workload.generate(1.0)) < 0.95
 
     def test_deterministic_given_seed(self):
         first = UniformRandomWorkload(1000, iops=500, seed=7).generate(0.2)
         second = UniformRandomWorkload(1000, iops=500, seed=7).generate(0.2)
         assert first == second
-
-    def test_mixed_workload_merges_components(self):
-        mixed = MixedWorkload(
-            [
-                SequentialWorkload(1000, iops=200, stream_id=1, seed=1),
-                UniformRandomWorkload(1000, iops=200, stream_id=2, seed=2),
-            ]
-        )
-        records = mixed.generate(0.5)
-        streams = {record.stream_id for record in records}
-        assert streams == {1, 2}
-        timestamps = [record.timestamp_us for record in records]
-        assert timestamps == sorted(timestamps)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -128,8 +86,6 @@ class TestSyntheticGenerators:
             UniformRandomWorkload(100, iops=0)
         with pytest.raises(ValueError):
             UniformRandomWorkload(100).generate(0)
-        with pytest.raises(ValueError):
-            MixedWorkload([])
 
     def test_zipf_sampler_bounds(self):
         import random
@@ -141,19 +97,15 @@ class TestSyntheticGenerators:
 
 class TestVolumeProfiles:
     def test_every_figure2_volume_has_a_profile(self):
-        from repro.analysis.retention import lookup_volume
-
         for volume in figure2_volumes():
             profile = lookup_volume(volume)
             assert profile.daily_write_gb > 0
 
     def test_msr_and_fiu_lookup(self):
-        assert msr_profile("hm").name == "hm"
-        assert fiu_profile("email").name == "email"
+        assert MSR_VOLUMES["hm"].name == "hm"
+        assert FIU_VOLUMES["email"].name == "email"
         with pytest.raises(KeyError):
-            msr_profile("does-not-exist")
-        with pytest.raises(KeyError):
-            fiu_profile("does-not-exist")
+            lookup_volume("does-not-exist")
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -162,18 +114,18 @@ class TestVolumeProfiles:
             VolumeProfile("bad", daily_write_gb=1, write_fraction=1.5)
 
     def test_profile_workload_scales_with_compression(self):
-        profile = msr_profile("hm")
+        profile = MSR_VOLUMES["hm"]
         slow = profile_workload(profile, 10_000, duration_s=0.5, time_compression=1_000)
         fast = profile_workload(profile, 10_000, duration_s=0.5, time_compression=10_000)
         assert len(fast) > len(slow)
 
     def test_msr_and_fiu_trace_generation(self):
-        records = msr_trace("hm", capacity_pages=5_000, duration_s=0.2, time_compression=5_000)
+        sizes = dict(capacity_pages=5_000, duration_s=0.2, time_compression=5_000)
+        records = profile_workload(MSR_VOLUMES["hm"], **sizes)
         assert records
-        records = fiu_trace("email", capacity_pages=5_000, duration_s=0.2, time_compression=5_000)
+        records = profile_workload(FIU_VOLUMES["email"], **sizes)
         assert records
-        stats = collect_stats(records)
-        assert stats.write_fraction > 0.5  # email is write heavy
+        assert write_fraction(records) > 0.5  # email is write heavy
 
 
 class TestFioJobs:
@@ -184,9 +136,8 @@ class TestFioJobs:
     def test_job_generation(self):
         job = FioJob("test", "rand", write_fraction=1.0, iops=500, duration_s=0.2)
         records = job.generate(10_000)
-        stats = collect_stats(records)
-        assert stats.reads == 0
-        assert stats.writes == len(records)
+        assert op_count(records, TraceOp.READ) == 0
+        assert op_count(records, TraceOp.WRITE) == len(records)
 
     def test_job_validation(self):
         with pytest.raises(ValueError):
