@@ -23,9 +23,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import provision_environment
+from repro.attacks.classic import ClassicRansomware
 from repro.campaign import CampaignGrid, CellResult, run_cell
 from repro.campaign.engine import execute_cell_scenario
 from repro.cli import main
+from repro.core.config import RSSDConfig
+from repro.core.rssd import RSSD
 from repro.forensics import ForensicReport, ForensicsEngine
 from repro.nvmeoe import remote as remote_module
 
@@ -166,6 +170,16 @@ class TestEngineFollowsTheLog:
         assert status.total_entries == oplog.total_entries
         assert status == ForensicsEngine(engine.rssd).verify_chain()
 
+    def test_classify_sees_an_attack_made_after_the_first_query(self):
+        rssd = RSSD(config=RSSDConfig.tiny())
+        env = provision_environment(rssd, victim_files=12, file_size_bytes=8192)
+        engine = ForensicsEngine(rssd)
+        assert engine.classify().malicious_streams == []
+        ClassicRansomware().execute(env)
+        attack = engine.classify()
+        assert attack.malicious_streams == [env.attacker_stream]
+        assert attack == ForensicsEngine(rssd).classify()
+
 
 class TestRecoverCommand:
     @staticmethod
@@ -198,6 +212,10 @@ class TestRecoverCommand:
     def test_json_with_verify_chain_exits(self):
         with pytest.raises(SystemExit, match="--json applies to the default report"):
             main(["recover", "--verify-chain", "--json"])
+
+    def test_json_with_list_snapshots_exits(self):
+        with pytest.raises(SystemExit, match="--json applies to the default report"):
+            main(["recover", "--list-snapshots", "--json"])
 
     def test_apply_without_target_exits(self):
         with pytest.raises(SystemExit, match="--apply only makes sense with --to"):

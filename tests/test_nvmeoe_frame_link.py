@@ -26,6 +26,18 @@ class TestFraming:
         double = wire_bytes_for_payload(3000)
         assert double == 2 * single
 
+    @pytest.mark.parametrize(
+        "payload, mtu, frames",
+        [
+            (1, DEFAULT_MTU, 1),
+            (DEFAULT_MTU, DEFAULT_MTU, 1),
+            (DEFAULT_MTU + 1, DEFAULT_MTU, 2),
+            (9000, 9000, 1),
+        ],
+    )
+    def test_one_header_per_mtu_sized_frame(self, payload, mtu, frames):
+        assert wire_bytes_for_payload(payload, mtu=mtu) == payload + frames * ETHERNET_HEADER_BYTES
+
 
 class TestNetworkLink:
     def test_bandwidth_determines_serialization_time(self):

@@ -43,6 +43,39 @@ def test_hash_chain_verifies_only_exact_history(entries):
     assert not chain.verify(mutated)
 
 
+@given(entries=st.lists(st.binary(min_size=0, max_size=64), min_size=1, max_size=60),
+       index=st.integers(min_value=0, max_value=1000))
+@settings(max_examples=50, deadline=None)
+def test_hash_chain_rejects_a_dropped_or_swapped_entry_anywhere(entries, index):
+    chain = HashChain()
+    for entry in entries:
+        chain.append(entry)
+    position = index % len(entries)
+    assert not chain.verify(entries[:position] + entries[position + 1 :])
+    swapped = list(entries)
+    other = (position + 1) % len(entries)
+    swapped[position], swapped[other] = swapped[other], swapped[position]
+    assert chain.verify(swapped) == (swapped == entries)
+
+
+@given(entries=st.lists(st.binary(min_size=0, max_size=16), min_size=1, max_size=60),
+       index=st.integers(min_value=0, max_value=1000),
+       interval=st.integers(min_value=1, max_value=16))
+@settings(max_examples=50, deadline=None)
+def test_find_divergence_stops_at_the_first_checkpoint_after_a_change(
+    entries, index, interval
+):
+    chain = HashChain(checkpoint_interval=interval)
+    for entry in entries:
+        chain.append(entry)
+    assert chain.find_divergence(entries) is None
+    position = index % len(entries)
+    mutated = list(entries)
+    mutated[position] = entries[position] + b"x"
+    covering = [cp.entry_index for cp in chain.checkpoints if cp.entry_index >= position]
+    assert chain.find_divergence(mutated) == (covering[0] if covering else None)
+
+
 @given(data=st.binary(min_size=1, max_size=4096))
 @settings(max_examples=50, deadline=None)
 def test_entropy_bounds_property(data):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import ast
 import re
+import textwrap
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,16 +48,10 @@ from typing import Dict, Iterator, List, Set, Tuple
 import pytest
 
 REPO_ROOT = Path(__file__).parent.parent
-SRC = REPO_ROOT / "src" / "repro"
 
 #: Unreached module-level definitions kept on purpose: qualified name
 #: (``module:name``) to a one-line reason.
 KEPT: Dict[str, str] = {}
-
-ROOT_FILES = [SRC / "cli.py", SRC / "__main__.py"]
-ROOT_DIRS = [REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
-EXPORTING_MODULES = [SRC / "__init__.py", SRC / "api" / "__init__.py"]
-NAMING_DIRS = [REPO_ROOT / "src", REPO_ROOT / "examples", REPO_ROOT / "benchmarks", REPO_ROOT / "tests"]
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
@@ -67,8 +62,8 @@ def python_files(directory: Path) -> List[Path]:
     return sorted(p for p in directory.rglob("*.py") if "lint_fixtures" not in p.parts)
 
 
-def module_name(path: Path) -> str:
-    parts = path.relative_to(REPO_ROOT / "src").with_suffix("").parts
+def module_name(path: Path, repo_root: Path = REPO_ROOT) -> str:
+    parts = path.relative_to(repo_root / "src").with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -157,28 +152,34 @@ class Scan:
     source_names: Dict[str, List[Tuple[Path, int]]]
 
 
-def exported_names() -> Set[str]:
+def exported_names(exporting_modules: List[Path]) -> Set[str]:
     names = set()
-    for path in EXPORTING_MODULES:
+    for path in exporting_modules:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.Assign) and "__all__" in defined_names(node):
                 names.update(ast.literal_eval(node.value))
     return names
 
 
-def scan() -> Scan:
+def scan(repo_root: Path = REPO_ROOT) -> Scan:
+    """Reachability of every definition under ``repo_root/src/repro``."""
+    src = repo_root / "src" / "repro"
+    root_files = [src / "cli.py", src / "__main__.py"]
+    root_dirs = [repo_root / "examples", repo_root / "benchmarks"]
+    naming_dirs = [repo_root / "src", repo_root / "tests"] + root_dirs
+
     definitions: List[Definition] = []
     reached_names: Set[str] = set()
-    for path in ROOT_FILES + [p for d in ROOT_DIRS for p in python_files(d)]:
+    for path in root_files + [p for d in root_dirs for p in python_files(d)]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         reached_names.update(name for name, _ in names_in([tree], docstring_ids(tree)))
-    exported = exported_names()
+    exported = exported_names([src / "__init__.py", src / "api" / "__init__.py"])
     reached_names |= exported
 
-    for path in python_files(SRC):
+    for path in python_files(src):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         docstrings = docstring_ids(tree)
-        module = module_name(path)
+        module = module_name(path, repo_root)
         for node in module_statements(tree.body):
             if isinstance(node, (ast.Import, ast.ImportFrom)) or is_docstring(node):
                 continue
@@ -218,12 +219,44 @@ def scan() -> Scan:
                     changed = True
 
     source_names: Dict[str, List[Tuple[Path, int]]] = defaultdict(list)
-    for directory in NAMING_DIRS:
+    for directory in naming_dirs:
         for path in python_files(directory):
+            if path.resolve() == Path(__file__).resolve():
+                continue  # the synthetic trees below name made-up identifiers
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for name, line in names_in([tree], docstring_ids(tree)):
                 source_names[name].append((path, line))
     return Scan(definitions, reached, source_names)
+
+
+def unreached_definitions(reach: Scan) -> Dict[str, int]:
+    """Unreached module-level definitions not in :data:`KEPT`, with their line."""
+    return {
+        d.qualname: d.node.lineno
+        for d in reach.definitions
+        if d.qualname not in reach.reached and d.qualname not in KEPT
+    }
+
+
+def unnamed_methods(reach: Scan) -> List[str]:
+    """Unreached methods of reached classes that nothing names outside
+    their own definition."""
+    unnamed = []
+    for definition in reach.definitions:
+        if definition.qualname not in reach.reached:
+            continue
+        for method in definition.methods:
+            if f"{definition.qualname}.{method.name}" in reach.reached:
+                continue
+            span = range(method.lineno, method.end_lineno + 1)
+            outside = [
+                (where, line)
+                for where, line in reach.source_names.get(method.name, [])
+                if not (where == definition.path and line in span)
+            ]
+            if not outside:
+                unnamed.append(f"{definition.qualname}.{method.name} (line {method.lineno})")
+    return unnamed
 
 
 @pytest.fixture(scope="module")
@@ -232,11 +265,7 @@ def reach() -> Scan:
 
 
 def test_every_module_level_definition_is_reached_or_kept(reach):
-    unreached = {
-        d.qualname: d.node.lineno
-        for d in reach.definitions
-        if d.qualname not in reach.reached and d.qualname not in KEPT
-    }
+    unreached = unreached_definitions(reach)
     assert not unreached, (
         "module-level definitions that no entry point reaches -- delete it, "
         "or add it to KEPT with a reason:\n  "
@@ -253,22 +282,193 @@ def test_kept_definitions_are_unreached_and_carry_a_reason(reach):
 
 
 def test_every_method_of_a_reached_class_is_reached_or_named(reach):
-    unnamed = []
-    for definition in reach.definitions:
-        if definition.qualname not in reach.reached:
-            continue
-        for method in definition.methods:
-            if f"{definition.qualname}.{method.name}" in reach.reached:
-                continue
-            span = range(method.lineno, method.end_lineno + 1)
-            outside = [
-                (where, line)
-                for where, line in reach.source_names.get(method.name, [])
-                if not (where == definition.path and line in span)
-            ]
-            if not outside:
-                unnamed.append(f"{definition.qualname}.{method.name} (line {method.lineno})")
+    unnamed = unnamed_methods(reach)
     assert not unnamed, (
         "methods that no entry point reaches and nothing names outside "
         "their own definition -- delete them:\n  " + "\n  ".join(unnamed)
     )
+
+
+# -- the scan's rules, on synthetic trees -----------------------------------
+
+
+def scan_tree(root: Path, files: Dict[str, str], exported: Tuple[str, ...] = ()) -> Scan:
+    """Scan a minimal repository holding ``files`` (paths relative to ``root``)."""
+    tree = {
+        "src/repro/__init__.py": f"__all__ = {list(exported)!r}\n",
+        "src/repro/api/__init__.py": "__all__ = []\n",
+        "src/repro/cli.py": "",
+        "src/repro/__main__.py": "",
+    }
+    tree.update(files)
+    for relative, text in tree.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return scan(root)
+
+
+def test_scan_follows_names_from_the_cli_through_a_chain(tmp_path):
+    reach = scan_tree(tmp_path, {
+        "src/repro/cli.py": "from repro.mod import first\nfirst()\n",
+        "src/repro/mod.py": """
+            def first():
+                return second()
+
+            def second():
+                return THIRD
+
+            THIRD = 3
+
+            def orphan():
+                return first()
+        """,
+    })
+    assert {"repro.mod:first", "repro.mod:second", "repro.mod:THIRD"} <= reach.reached
+    assert unreached_definitions(reach) == {"repro.mod:orphan": 10}
+
+
+def test_string_constants_name_identifiers_but_docstrings_do_not(tmp_path):
+    reach = scan_tree(tmp_path, {
+        "src/repro/cli.py": """
+            import repro.mod
+            getattr(repro.mod, "by_getattr")()
+            BOUNDARY = "repro.mod:Probe.on_op"
+        """,
+        "src/repro/mod.py": """
+            \"\"\"Mentions only_in_docstrings.\"\"\"
+
+            def by_getattr():
+                \"\"\"Calls only_in_docstrings.\"\"\"
+
+            def only_in_docstrings():
+                pass
+
+            class Probe:
+                def on_op(self):
+                    pass
+
+                def off_op(self):
+                    pass
+        """,
+    })
+    assert {"repro.mod:by_getattr", "repro.mod:Probe", "repro.mod:Probe.on_op"} <= reach.reached
+    assert "repro.mod:Probe.off_op" not in reach.reached
+    assert set(unreached_definitions(reach)) == {"repro.mod:only_in_docstrings"}
+
+
+def test_module_level_statements_are_roots(tmp_path):
+    reach = scan_tree(tmp_path, {
+        "src/repro/registry.py": """
+            REGISTRY = {}
+
+            def handler():
+                pass
+
+            def setup():
+                pass
+
+            def fallback():
+                pass
+
+            REGISTRY.update(handler=handler)
+
+            try:
+                setup()
+            except ImportError:
+                fallback()
+        """,
+    })
+    assert unreached_definitions(reach) == {}
+    assert {"repro.registry:REGISTRY", "repro.registry:fallback"} <= reach.reached
+
+
+def test_a_reached_class_brings_its_bases_body_and_dunders(tmp_path):
+    reach = scan_tree(tmp_path, {
+        "src/repro/cli.py": "from repro.mod import Child\nChild()\n",
+        "src/repro/mod.py": """
+            class Base:
+                pass
+
+            class Child(Base):
+                limit = LIMIT
+
+                def __init__(self):
+                    self.ready = True
+
+                def unused(self):
+                    pass
+
+            LIMIT = 4
+        """,
+    })
+    assert {"repro.mod:Base", "repro.mod:LIMIT", "repro.mod:Child.__init__"} <= reach.reached
+    assert "repro.mod:Child.unused" not in reach.reached
+    assert unnamed_methods(reach) == ["repro.mod:Child.unused (line 11)"]
+
+
+def test_every_method_of_an_exported_class_is_reached(tmp_path):
+    reach = scan_tree(
+        tmp_path,
+        {"src/repro/mod.py": "class Facade:\n    def promised(self):\n        pass\n"},
+        exported=("Facade",),
+    )
+    assert {"repro.mod:Facade", "repro.mod:Facade.promised"} <= reach.reached
+    assert unnamed_methods(reach) == []
+
+
+def test_tests_name_methods_but_do_not_reach_definitions(tmp_path):
+    reach = scan_tree(tmp_path, {
+        "src/repro/cli.py": "from repro.mod import Live\n",
+        "src/repro/mod.py": """
+            def only_tests_call():
+                pass
+
+            class Live:
+                def observed(self):
+                    pass
+        """,
+        "tests/test_mod.py": """
+            from repro.mod import Live, only_tests_call
+
+            only_tests_call()
+            Live().observed()
+        """,
+    })
+    assert "repro.mod:Live.observed" not in reach.reached
+    assert unnamed_methods(reach) == []
+    assert set(unreached_definitions(reach)) == {"repro.mod:only_tests_call"}
+
+
+def test_a_method_that_only_names_itself_is_reported(tmp_path):
+    reach = scan_tree(tmp_path, {
+        "src/repro/cli.py": "from repro.mod import Live\n",
+        "src/repro/mod.py": """
+            class Live:
+                def recurse(self, depth):
+                    return self.recurse(depth - 1) if depth else 0
+        """,
+    })
+    assert unnamed_methods(reach) == ["repro.mod:Live.recurse (line 3)"]
+
+
+def test_examples_and_benchmarks_are_roots(tmp_path):
+    reach = scan_tree(tmp_path, {
+        "src/repro/mod.py": "def for_examples():\n    pass\n\ndef for_benchmarks():\n    pass\n",
+        "examples/demo.py": "from repro.mod import for_examples\n",
+        "benchmarks/suite/bench.py": "from repro.mod import for_benchmarks\n",
+    })
+    assert unreached_definitions(reach) == {}
+
+
+def test_import_aliases_name_every_dotted_part():
+    tree = ast.parse("import repro.core.oplog as log\nfrom repro.ssd import SSD as Device\n")
+    names = {name for name, _ in names_in([tree], docstring_ids(tree))}
+    assert {"repro", "core", "oplog", "log", "SSD", "Device"} <= names
+
+
+def test_module_names_follow_the_package_layout(tmp_path):
+    src = tmp_path / "src" / "repro"
+    assert module_name(src / "__init__.py", tmp_path) == "repro"
+    assert module_name(src / "ssd" / "__init__.py", tmp_path) == "repro.ssd"
+    assert module_name(src / "ssd" / "ftl.py", tmp_path) == "repro.ssd.ftl"

@@ -17,6 +17,18 @@ class TestStaticWearLeveler:
         leveler = StaticWearLeveler(threshold=20)
         assert not leveler.should_run(flash)
 
+    def test_fresh_array_has_no_wear_spread(self):
+        flash = FlashArray(SSDGeometry.tiny())
+        assert flash.max_erase_count() == flash.min_erase_count() == 0
+        assert not StaticWearLeveler(threshold=1).should_run(flash)
+
+    def test_spread_reflects_uneven_wear(self):
+        flash = FlashArray(SSDGeometry.tiny())
+        flash.set_erase_count(0, 50)
+        assert (flash.max_erase_count(), flash.min_erase_count()) == (50, 0)
+        assert StaticWearLeveler(threshold=50).should_run(flash)
+        assert not StaticWearLeveler(threshold=51).should_run(flash)
+
     def test_migrates_cold_valid_pages(self):
         geometry = SSDGeometry.tiny()
         flash = FlashArray(geometry)

@@ -128,6 +128,50 @@ class TestVolumeProfiles:
         assert write_fraction(records) > 0.5  # email is write heavy
 
 
+ALL_VOLUMES = {**MSR_VOLUMES, **FIU_VOLUMES}
+
+
+def volume_trace(profile, capacity_pages=2_000_000, stream_id=0):
+    """Half a second of ``profile`` at 2,000x time compression."""
+    return profile_workload(
+        profile,
+        capacity_pages,
+        duration_s=0.5,
+        seed=11,
+        stream_id=stream_id,
+        time_compression=2_000,
+    )
+
+
+@pytest.mark.parametrize("volume", sorted(ALL_VOLUMES))
+class TestEveryVolumeProfile:
+    """Each calibrated MSR/FIU profile generates the traffic it declares."""
+
+    def test_trace_honours_the_write_mix(self, volume):
+        profile = ALL_VOLUMES[volume]
+        records = volume_trace(profile)
+        assert len(records) >= 2_000
+        assert op_count(records, TraceOp.TRIM) == 0
+        assert write_fraction(records) == pytest.approx(profile.write_fraction, abs=0.05)
+
+    def test_trace_stays_inside_the_working_set(self, volume):
+        profile = ALL_VOLUMES[volume]
+        assert max(record.lba for record in volume_trace(profile)) < profile.working_set_pages
+        # On a device smaller than the working set, requests end inside it.
+        small = volume_trace(profile, capacity_pages=4_096)
+        assert all(record.lba + record.npages <= 4_096 for record in small)
+
+    def test_trace_carries_the_profile_content(self, volume):
+        profile = ALL_VOLUMES[volume]
+        records = volume_trace(profile, stream_id=5)
+        assert {record.stream_id for record in records} == {5}
+        writes = [record for record in records if record.op is TraceOp.WRITE]
+        mean_entropy = sum(record.entropy for record in writes) / len(writes)
+        mean_ratio = sum(record.compress_ratio for record in writes) / len(writes)
+        assert mean_entropy == pytest.approx(profile.mean_entropy, abs=0.1)
+        assert mean_ratio == pytest.approx(profile.mean_compress_ratio, abs=0.02)
+
+
 class TestFioJobs:
     def test_standard_jobs_present(self):
         jobs = standard_jobs()
